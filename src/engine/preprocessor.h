@@ -17,6 +17,13 @@ struct PreprocessStats {
   double total_seconds = 0.0;
   double sum_scaled_utility = 0.0;
   double sum_seconds = 0.0;  ///< summed per-problem solve time
+  // Stage timings. The per-query stages are summed over queries, so with a
+  // pool they add up worker time and may exceed total_seconds; sequentially
+  // all four sum to at most total_seconds.
+  double aggregate_seconds = 0.0;  ///< building the per-target base aggregates
+  double slice_seconds = 0.0;      ///< SliceInstance per query
+  double prepare_seconds = 0.0;    ///< fact catalog + evaluator per query
+  double solve_seconds = 0.0;      ///< Run + RenderSpeech per query
 
   double MeanScaledUtility() const {
     return num_speeches > 0 ? sum_scaled_utility / static_cast<double>(num_speeches)

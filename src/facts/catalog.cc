@@ -21,6 +21,13 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   if (num_dims > 31) {
     return Status::Unsupported("more than 31 fact-eligible dimensions");
   }
+  // Fact keys pack each code into 16 bits (PackGroupKey).
+  for (size_t d = 0; d < instance.dim_cardinalities.size(); ++d) {
+    if (instance.dim_cardinalities[d] > kMaxPackableCode) {
+      return Status::Unsupported("dimension '" + instance.dim_names[d] +
+                                 "' exceeds the packable cardinality limit");
+    }
+  }
 
   FactCatalog catalog;
   uint32_t num_masks = 1u << num_dims;

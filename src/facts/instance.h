@@ -58,13 +58,12 @@ struct SummaryInstance {
 struct InstanceOptions {
   PriorKind prior_kind = PriorKind::kGlobalAverage;
   double prior_value = 0.0;  ///< used when prior_kind == kConstant
-  bool merge_duplicates = true;
 };
 
 /// Builds the instance for `query predicates` on `target` of `table`.
 /// Fact-eligible dimensions are all dimensions without a query predicate.
-/// Fails if the subset is empty or a dimension's cardinality exceeds the
-/// packable limit.
+/// Fails if the subset is empty. (Dimensions beyond the packable cardinality
+/// limit are rejected by FactCatalog::Build, which packs their codes.)
 Result<SummaryInstance> BuildInstance(const Table& table,
                                       const PredicateSet& query_predicates,
                                       int target_index,
@@ -77,15 +76,32 @@ Result<SummaryInstance> BuildInstance(const Table& table,
 double GlobalAverage(const Table& table, int target_index);
 
 /// Like BuildInstance, but over an already-filtered row list (`rows` must be
-/// exactly the rows matching `query_predicates`). The serving layer's batch
-/// solver filters many queries in one shared table pass (FilterRowsMulti)
-/// and builds each instance from its precomputed subset; results are
-/// identical to BuildInstance.
+/// exactly the rows matching `query_predicates`). The single merge routine:
+/// the serving layer's batch solver filters many queries in one shared table
+/// pass (FilterRowsMulti) and builds each instance from its precomputed
+/// subset, and pre-processing builds its per-target base aggregate (no
+/// predicates, every row) here. Rows merge exactly on (codes, target bits):
+/// -0.0 and +0.0 stay separate rows and a NaN row never merges. Merged rows
+/// keep first-seen order.
 Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
                                               const PredicateSet& query_predicates,
                                               int target_index,
                                               const std::vector<uint32_t>& rows,
                                               const InstanceOptions& options = {});
+
+/// Derives the instance of `query_predicates` from `parent`, an instance that
+/// keeps every predicate's dimension (typically the base aggregate: the
+/// empty query's instance over the whole table). Keeps the parent rows whose
+/// predicate dimensions match, drops the predicate columns and copies the
+/// weights -- no filter over raw rows and no re-merge. Because every
+/// predicate dimension is part of the parent's merge key, the result is
+/// bit-identical to BuildInstanceFromRows over the filtered rows. The prior
+/// follows `options`; kGlobalAverage is inherited from `parent`, which must
+/// have been built with the same options. Fails with InvalidArgument if a
+/// predicate's dimension is not in `parent.dims`, NotFound if no row matches.
+Result<SummaryInstance> SliceInstance(const SummaryInstance& parent,
+                                      const PredicateSet& query_predicates,
+                                      const InstanceOptions& options = {});
 
 }  // namespace vq
 

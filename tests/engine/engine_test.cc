@@ -35,6 +35,14 @@ TEST(PreprocessorTest, GeneratesSpeechForEveryQuery) {
   EXPECT_EQ(stats.num_speeches, 25u);
   EXPECT_EQ(store.value().size(), 25u);
   EXPECT_GT(stats.total_seconds, 0.0);
+  // Sequential stage timings are disjoint slices of the call.
+  for (double stage : {stats.aggregate_seconds, stats.slice_seconds,
+                       stats.prepare_seconds, stats.solve_seconds}) {
+    EXPECT_GE(stage, 0.0);
+  }
+  EXPECT_LE(stats.aggregate_seconds + stats.slice_seconds + stats.prepare_seconds +
+                stats.solve_seconds,
+            stats.total_seconds);
   EXPECT_GT(stats.MeanScaledUtility(), 0.0);
   EXPECT_LE(stats.MeanScaledUtility(), 1.0);
 }

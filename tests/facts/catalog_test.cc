@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "relational/group_by.h"
 #include "storage/datasets.h"
 
 namespace vq {
@@ -126,6 +127,23 @@ TEST_F(CatalogTest, WeightedAverageOfFactValuesIsGlobalAverage) {
 TEST_F(CatalogTest, RejectsTooManyFactDims) {
   EXPECT_FALSE(FactCatalog::Build(instance_, 5).ok());
   EXPECT_FALSE(FactCatalog::Build(instance_, -1).ok());
+}
+
+TEST(CatalogLimitTest, DimensionBeyondPackableLimitIsRejected) {
+  // Fact keys pack 16-bit codes; a larger fact-eligible dictionary builds an
+  // instance but no catalog.
+  Table table("wide");
+  table.AddDimColumn("id");
+  table.AddTargetColumn("t");
+  for (ValueId v = 0; v <= kMaxPackableCode; ++v) {
+    table.mutable_dict(0).Intern("v" + std::to_string(v));
+  }
+  table.AppendEncodedRow({kMaxPackableCode}, {1.0});
+  auto instance = BuildInstance(table, {}, 0);
+  ASSERT_TRUE(instance.ok());
+  auto catalog = FactCatalog::Build(instance.value(), 1);
+  EXPECT_FALSE(catalog.ok());
+  EXPECT_EQ(catalog.status().code(), StatusCode::kUnsupported);
 }
 
 }  // namespace

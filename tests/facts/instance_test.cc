@@ -2,10 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <map>
+#include <numeric>
+
 #include "storage/datasets.h"
+#include "util/rng.h"
 
 namespace vq {
 namespace {
+
+std::vector<uint32_t> AllRows(const Table& table) {
+  std::vector<uint32_t> rows(table.NumRows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+// Field-by-field identity, doubles compared bit for bit (NaN == NaN, and
+// -0.0 != +0.0).
+void ExpectIdentical(const SummaryInstance& a, const SummaryInstance& b) {
+  EXPECT_EQ(a.dims, b.dims);
+  EXPECT_EQ(a.dim_names, b.dim_names);
+  EXPECT_EQ(a.dim_cardinalities, b.dim_cardinalities);
+  ASSERT_EQ(a.num_rows, b.num_rows);
+  EXPECT_EQ(a.codes, b.codes);
+  for (size_t r = 0; r < a.num_rows; ++r) {
+    EXPECT_TRUE(SameBits(a.target[r], b.target[r])) << "row " << r;
+    EXPECT_TRUE(SameBits(a.weight[r], b.weight[r])) << "row " << r;
+  }
+  EXPECT_TRUE(SameBits(a.total_weight, b.total_weight));
+  EXPECT_TRUE(SameBits(a.prior, b.prior));
+  EXPECT_EQ(a.target_name, b.target_name);
+  EXPECT_EQ(a.target_unit, b.target_unit);
+}
+
+// A two-dimension table whose rows all share codes (a=x, b=y) except the
+// target, plus one row on a=z so slices have something to drop.
+Table SameCodesTable(const std::vector<double>& targets) {
+  Table table("same_codes");
+  table.AddDimColumn("a");
+  table.AddDimColumn("b");
+  table.AddTargetColumn("t");
+  for (double t : targets) EXPECT_TRUE(table.AppendRow({"x", "y"}, {t}).ok());
+  EXPECT_TRUE(table.AppendRow({"z", "y"}, {1.0}).ok());
+  return table;
+}
+
+// The per-query path and the base-aggregate path must agree on `preds`.
+void ExpectSliceMatchesFilter(const Table& table, const PredicateSet& preds,
+                              const InstanceOptions& options) {
+  auto filtered = BuildInstance(table, preds, 0, options);
+  auto base = BuildInstanceFromRows(table, {}, 0, AllRows(table), options);
+  ASSERT_TRUE(base.ok());
+  auto sliced = SliceInstance(base.value(), preds, options);
+  ASSERT_EQ(filtered.ok(), sliced.ok());
+  if (filtered.ok()) ExpectIdentical(filtered.value(), sliced.value());
+}
 
 class InstanceTest : public ::testing::Test {
  protected:
@@ -74,11 +129,12 @@ TEST_F(InstanceTest, MergeDuplicatesPreservesWeightAndError) {
   EXPECT_DOUBLE_EQ(merged.value().total_weight, 32.0);
   EXPECT_DOUBLE_EQ(merged.value().BaseError(), 240.0);
 
-  merged_options.merge_duplicates = false;
-  auto unmerged = BuildInstance(doubled, {}, 0, merged_options);
-  ASSERT_TRUE(unmerged.ok());
-  EXPECT_EQ(unmerged.value().num_rows, 32u);
-  EXPECT_DOUBLE_EQ(unmerged.value().BaseError(), 240.0);
+  // Hand-computed under a prior of 15: the running example holds eight 0s,
+  // four 10s and four 20s, so each copy contributes 8*15 + 4*5 + 4*5 = 160.
+  merged_options.prior_kind = PriorKind::kConstant;
+  merged_options.prior_value = 15.0;
+  EXPECT_DOUBLE_EQ(BuildInstance(doubled, {}, 0, merged_options).value().BaseError(),
+                   320.0);
 }
 
 TEST_F(InstanceTest, EmptySubsetFails) {
@@ -100,6 +156,177 @@ TEST_F(InstanceTest, EmptySubsetFails) {
 TEST_F(InstanceTest, BadTargetIndexFails) {
   EXPECT_FALSE(BuildInstance(table_, {}, 7).ok());
   EXPECT_FALSE(BuildInstance(table_, {}, -1).ok());
+}
+
+TEST(InstanceMergeTest, SignedZeroTargetsStayApart) {
+  // Targets merge bit for bit: -0.0 == +0.0, but the two are kept as
+  // separate rows, in first-seen order.
+  for (double first : {0.0, -0.0}) {
+    Table table = SameCodesTable({first, -first, first, -first});
+    auto inst = BuildInstance(table, {}, 0);
+    ASSERT_TRUE(inst.ok());
+    ASSERT_EQ(inst.value().num_rows, 3u);  // (x, y, first), (x, y, -first), (z, y, 1)
+    EXPECT_TRUE(SameBits(inst.value().target[0], first));
+    EXPECT_TRUE(SameBits(inst.value().target[1], -first));
+    EXPECT_DOUBLE_EQ(inst.value().weight[0], 2.0);
+    EXPECT_DOUBLE_EQ(inst.value().weight[1], 2.0);
+    PredicateSet on_x = {MakePredicate(table, "a", "x").value()};
+    ExpectSliceMatchesFilter(table, on_x, {});
+    ExpectSliceMatchesFilter(table, {}, {});
+  }
+}
+
+TEST(InstanceMergeTest, NanTargetsNeverMerge) {
+  double nan = std::nan("");
+  Table table = SameCodesTable({nan, 2.0, nan, 2.0});
+  auto inst = BuildInstance(table, {}, 0);
+  ASSERT_TRUE(inst.ok());
+  // NaN, 2 (weight 2), NaN, then the a=z row: first-seen order.
+  ASSERT_EQ(inst.value().num_rows, 4u);
+  EXPECT_TRUE(std::isnan(inst.value().target[0]));
+  EXPECT_DOUBLE_EQ(inst.value().target[1], 2.0);
+  EXPECT_DOUBLE_EQ(inst.value().weight[1], 2.0);
+  EXPECT_TRUE(std::isnan(inst.value().target[2]));
+  EXPECT_DOUBLE_EQ(inst.value().weight[0] + inst.value().weight[2], 2.0);
+  EXPECT_DOUBLE_EQ(inst.value().total_weight, 5.0);
+  PredicateSet on_x = {MakePredicate(table, "a", "x").value()};
+  ExpectSliceMatchesFilter(table, on_x, {});
+  ExpectSliceMatchesFilter(table, {}, {});
+}
+
+TEST_F(InstanceTest, SlicePriorKindsMatchFilteredBuild) {
+  PredicateSet winter = {MakePredicate(table_, "season", "Winter").value()};
+  PredicateSet north_winter = {MakePredicate(table_, "region", "North").value(),
+                               MakePredicate(table_, "season", "Winter").value()};
+  for (PriorKind kind : {PriorKind::kGlobalAverage, PriorKind::kSubsetAverage,
+                         PriorKind::kZero, PriorKind::kConstant}) {
+    InstanceOptions options;
+    options.prior_kind = kind;
+    options.prior_value = 3.5;
+    ExpectSliceMatchesFilter(table_, winter, options);
+    ExpectSliceMatchesFilter(table_, north_winter, options);
+  }
+}
+
+TEST_F(InstanceTest, SliceRejectsForeignDimensionAndEmptySubset) {
+  PredicateSet winter = {MakePredicate(table_, "season", "Winter").value()};
+  auto sliced = BuildInstance(table_, winter, 0).value();
+  // The slice no longer carries `season`, so it cannot be sliced on it again.
+  auto again = SliceInstance(sliced, winter);
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.status().code(), StatusCode::kInvalidArgument);
+
+  Table tiny("tiny");
+  tiny.AddDimColumn("season");
+  tiny.AddTargetColumn("delay");
+  ASSERT_TRUE(tiny.AppendRow({"Winter"}, {1.0}).ok());
+  tiny.mutable_dict(0).Intern("Summer");
+  auto base = BuildInstanceFromRows(tiny, {}, 0, AllRows(tiny)).value();
+  auto empty = SliceInstance(base, {MakePredicate(tiny, "season", "Summer").value()});
+  EXPECT_FALSE(empty.ok());
+  EXPECT_EQ(empty.status().code(), StatusCode::kNotFound);
+}
+
+// Reference merge: a std::map keyed by the exact (codes, target bits) pair,
+// with first-seen positions; NaN rows are appended unmerged.
+struct ReferenceMerge {
+  std::vector<std::vector<ValueId>> codes;
+  std::vector<double> target;
+  std::vector<double> weight;
+};
+
+ReferenceMerge MergeByMap(const Table& table, const PredicateSet& preds) {
+  ReferenceMerge out;
+  std::map<std::pair<std::vector<ValueId>, uint64_t>, size_t> first_seen;
+  for (uint32_t r : FilterRows(table, preds)) {
+    std::vector<ValueId> codes;
+    for (size_t d = 0; d < table.NumDims(); ++d) {
+      bool fixed = false;
+      for (const auto& p : preds) fixed = fixed || p.dim == static_cast<int>(d);
+      if (!fixed) codes.push_back(table.DimCode(r, d));
+    }
+    double t = table.TargetValue(r, 0);
+    if (!std::isnan(t)) {
+      uint64_t bits;
+      std::memcpy(&bits, &t, sizeof(bits));
+      auto [it, inserted] =
+          first_seen.emplace(std::make_pair(codes, bits), out.target.size());
+      if (!inserted) {
+        out.weight[it->second] += 1.0;
+        continue;
+      }
+    }
+    out.codes.push_back(codes);
+    out.target.push_back(t);
+    out.weight.push_back(1.0);
+  }
+  return out;
+}
+
+// Random tables, with and without per-dimension code widths that pack into
+// 64 bits, against the std::map reference; every predicate set also checks
+// the base-aggregate slice.
+TEST(InstanceMergeTest, MatchesMapReferenceOnRandomTables) {
+  const double kTargets[] = {0.0, -0.0, 1.0, 2.5, 7.0, std::nan("")};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    bool wide = seed % 4 == 0;  // 5 x 14-bit codes: the unpacked key path
+    size_t num_dims = wide ? 5 : static_cast<size_t>(rng.NextInt(1, 4));
+    Table table("random");
+    std::vector<std::vector<ValueId>> domain(num_dims);
+    for (size_t d = 0; d < num_dims; ++d) {
+      table.AddDimColumn("d" + std::to_string(d));
+      size_t card = wide ? 8193 : static_cast<size_t>(rng.NextInt(1, 5));
+      for (size_t v = 0; v < card; ++v) {
+        table.mutable_dict(d).Intern("v" + std::to_string(v));
+      }
+      // Rows draw from at most 4 codes per dimension (spread over the whole
+      // dictionary on wide tables) so duplicates are common.
+      for (size_t v = 0; v < std::min<size_t>(card, 4); ++v) {
+        domain[d].push_back(static_cast<ValueId>(wide ? card - 1 - v * 2048 : v));
+      }
+    }
+    table.AddTargetColumn("t");
+    int num_rows = rng.NextInt(1, 200);
+    std::vector<ValueId> codes(num_dims);
+    for (int r = 0; r < num_rows; ++r) {
+      for (size_t d = 0; d < num_dims; ++d) {
+        codes[d] = domain[d][rng.NextBelow(domain[d].size())];
+      }
+      table.AppendEncodedRow(codes, {kTargets[rng.NextBelow(6)]});
+    }
+    auto base = BuildInstanceFromRows(table, {}, 0, AllRows(table)).value();
+
+    std::vector<PredicateSet> queries = {{}};
+    for (int q = 0; q < 6; ++q) {
+      PredicateSet preds;
+      uint32_t row = static_cast<uint32_t>(rng.NextBelow(table.NumRows()));
+      for (size_t d = 0; d < num_dims; ++d) {
+        if (rng.NextBool()) preds.push_back({static_cast<int>(d), table.DimCode(row, d)});
+      }
+      queries.push_back(preds);
+    }
+    for (const PredicateSet& preds : queries) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " query " +
+                   PredicatesToString(table, preds));
+      ReferenceMerge expected = MergeByMap(table, preds);
+      auto inst = BuildInstance(table, preds, 0);
+      ASSERT_TRUE(inst.ok());
+      const SummaryInstance& got = inst.value();
+      ASSERT_EQ(got.num_rows, expected.target.size());
+      for (size_t r = 0; r < got.num_rows; ++r) {
+        std::vector<ValueId> row(got.codes.begin() + static_cast<long>(r * got.dims.size()),
+                                 got.codes.begin() +
+                                     static_cast<long>((r + 1) * got.dims.size()));
+        EXPECT_EQ(row, expected.codes[r]);
+        EXPECT_TRUE(SameBits(got.target[r], expected.target[r]));
+        EXPECT_EQ(got.weight[r], expected.weight[r]);
+      }
+      auto sliced = SliceInstance(base, preds);
+      ASSERT_TRUE(sliced.ok());
+      ExpectIdentical(got, sliced.value());
+    }
+  }
 }
 
 }  // namespace
