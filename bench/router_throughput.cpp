@@ -4,9 +4,9 @@
 // NLU vocabulary coverage -- no request names its dataset. Also measures the
 // batched on-demand path: concurrent cache misses sharing a target column
 // must be solved in fewer shared table passes than the one-pass-per-query
-// unbatched baseline (counter-verified), and the single-dataset wrapper
-// (SummaryService) is re-measured on the BENCH_serve workload shape so the
-// refactor can be compared against BENCH_serve.json for regressions.
+// unbatched baseline (counter-verified), and a single-dataset deployment (a
+// RoutingService over a one-entry flights registry) is measured on a cache
+// warm 64-query workload at 4 threads.
 //
 // Since the dynamic-registry work, the bench also measures add/remove under
 // load: a fourth dataset is registered and retired in a loop while steady
@@ -49,7 +49,6 @@
 #include "storage/datasets.h"
 #include "serve/registry.h"
 #include "serve/router.h"
-#include "serve/service.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -761,9 +760,8 @@ int main() {
       snap.probes, snap.answers_identical ? "yes" : "NO", snap.steady_qps,
       snap_ok ? "OK" : "FAIL");
 
-  // ---- Single-dataset path: the BENCH_serve workload shape through the
-  // (post-refactor) SummaryService wrapper, for regression comparison
-  // against BENCH_serve.json.
+  // ---- Single-dataset deployment: a RoutingService over a one-entry
+  // flights registry (the same table and configuration), cache warm.
   auto generator =
       vq::ProblemGenerator::Create(flights, specs[0].config).value();
   auto single_queries = vq::bench::StratifiedSampleQueries(generator, 64, kSeed);
@@ -771,25 +769,33 @@ int main() {
   for (const auto& query : single_queries) {
     single_requests.push_back(RequestText(*flights, query));
   }
-  vq::serve::ServiceOptions service_options;
-  service_options.num_threads = 4;
-  service_options.cache_capacity = 1 << 14;
-  service_options.host.simulated_vocalize_seconds = kVocalizeSeconds;
-  vq::serve::SummaryService service(registry.engine("flights"), service_options);
-  for (const auto& request : single_requests) (void)service.AnswerNow(request);
-  std::vector<std::future<vq::serve::ServeResponse>> single_futures;
+  vq::serve::DatasetRegistry single_registry;
+  vq::Status single_st =
+      single_registry.RegisterTable(specs[0].name, *flights, specs[0].config);
+  if (!single_st.ok()) {
+    std::fprintf(stderr, "register single '%s' failed: %s\n",
+                 specs[0].name.c_str(), single_st.ToString().c_str());
+    return 1;
+  }
+  vq::serve::RouterOptions single_options;
+  single_options.num_threads = 4;
+  single_options.cache_capacity = 1 << 14;
+  single_options.host.simulated_vocalize_seconds = kVocalizeSeconds;
+  vq::serve::RoutingService single_router(&single_registry, single_options);
+  for (const auto& request : single_requests) {
+    (void)single_router.AnswerNow(request);
+  }
+  std::vector<std::future<vq::serve::RoutedResponse>> single_futures;
   single_futures.reserve(kTotalRequests);
   vq::Stopwatch single_watch;
   for (size_t i = 0; i < kTotalRequests; ++i) {
     single_futures.push_back(
-        service.Submit(single_requests[i % single_requests.size()]));
+        single_router.Submit(single_requests[i % single_requests.size()]));
   }
   for (auto& future : single_futures) (void)future.get();
   double single_wall = single_watch.ElapsedSeconds();
   double single_qps = static_cast<double>(kTotalRequests) / single_wall;
-  std::printf("Single-dataset wrapper: %.0f qps at 4 threads "
-              "(compare cache_warm[threads=4].qps in BENCH_serve.json)\n",
-              single_qps);
+  std::printf("Single-dataset router: %.0f qps at 4 threads\n", single_qps);
 
   // ---- Machine-readable report.
   vq::Json report = vq::Json::Object();

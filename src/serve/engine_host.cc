@@ -94,8 +94,26 @@ EngineHost::EngineHost(std::string name, const VoiceQueryEngine* engine,
   summarizer_options_.instance.prior_value = config.prior_value;
 }
 
+std::string CannedReply(RequestType type,
+                        const std::function<std::string()>& help_text) {
+  switch (type) {
+    case RequestType::kHelp:
+      return help_text();
+    case RequestType::kRepeat:
+      // Hosts and the router are sessionless; per-user repeat memory lives
+      // in the connection layer (VoiceQueryEngine::Session).
+      return VoiceQueryEngine::NothingToRepeatText();
+    case RequestType::kSupportedQuery:
+    case RequestType::kUnsupportedQuery:
+      return VoiceQueryEngine::NoSummaryText();
+    case RequestType::kOther:
+      break;
+  }
+  return VoiceQueryEngine::NotUnderstoodText();
+}
+
 ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
-                                 const Deadline* deadline) {
+                                 const Deadline* deadline, bool admitted) {
   Stopwatch watch;
   // relaxed: monotonic stats counter.
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
@@ -104,18 +122,18 @@ ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
   ClassifiedRequest classified = engine_->classifier().Classify(request);
   if (trace) trace->EndSpan(classify_span);
   response.type = classified.type;
+  // A shed request, or one whose budget is gone before any lookup, is turned
+  // around: it never joins the coalescer, never solves, never vocalizes.
+  bool turned_around = !admitted;
 
   switch (classified.type) {
     case RequestType::kHelp:
-      response.text = engine_->HelpText();
-      break;
     case RequestType::kRepeat:
-      // Hosts are sessionless; per-user repeat memory lives in the
-      // connection layer (VoiceQueryEngine::Session).
-      response.text = VoiceQueryEngine::NothingToRepeatText();
-      break;
     case RequestType::kOther:
-      response.text = VoiceQueryEngine::NotUnderstoodText();
+      response.text =
+          CannedReply(classified.type, [this] { return engine_->HelpText(); });
+      turned_around =
+          turned_around || (deadline != nullptr && deadline->Expired());
       break;
     case RequestType::kSupportedQuery:
     case RequestType::kUnsupportedQuery: {
@@ -126,11 +144,13 @@ ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
       std::string key = CanonicalQueryKey(fingerprint_, query);
       if (trace) trace->EndSpan(ground_span);
 
-      if (deadline != nullptr && deadline->Expired()) {
-        // Budget gone before any lookup: serve what is already rendered
-        // (fresh, or TTL-expired marked stale) or apologize; never start
-        // compute for a request whose caller has given up.
-        ServeCachedOrApology(&response, key, ServeStatus::kTimeout);
+      if (turned_around || (deadline != nullptr && deadline->Expired())) {
+        // Serve what is already rendered (fresh, or TTL-expired marked
+        // stale) or apologize; never start compute for a request that was
+        // shed or whose caller has given up.
+        turned_around = true;
+        ServeCachedOrApology(
+            &response, key, admitted ? ServeStatus::kTimeout : ServeStatus::kShed);
         break;
       }
 
@@ -210,51 +230,14 @@ ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
     }
   }
 
-  // A timed-out request's caller is gone; vocalizing the apology would hold
-  // the worker for nothing (under overload, precisely when it hurts most).
-  if (options_.simulated_vocalize_seconds > 0.0 &&
-      response.status != ServeStatus::kTimeout &&
-      response.status != ServeStatus::kShed) {
+  // A turned-around or timed-out request's caller is gone or must not wait;
+  // vocalizing would hold the worker for nothing (under overload, precisely
+  // when it hurts most).
+  if (options_.simulated_vocalize_seconds > 0.0 && !turned_around &&
+      response.status != ServeStatus::kTimeout) {
     obs::ScopedSpan vocalize_span(trace, "vocalize");
     std::this_thread::sleep_for(
         std::chrono::duration<double>(options_.simulated_vocalize_seconds));
-  }
-  RecordOutcome(response);
-  response.seconds = watch.ElapsedSeconds();
-  return response;
-}
-
-ServeResponse EngineHost::HandleOverload(const std::string& request,
-                                         ServeStatus fallback_status,
-                                         obs::Trace* trace) {
-  Stopwatch watch;
-  // relaxed: monotonic stats counter.
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  ServeResponse response;
-  size_t classify_span = trace ? trace->BeginSpan("classify") : 0;
-  ClassifiedRequest classified = engine_->classifier().Classify(request);
-  if (trace) trace->EndSpan(classify_span);
-  response.type = classified.type;
-
-  switch (classified.type) {
-    case RequestType::kHelp:
-      response.text = engine_->HelpText();
-      break;
-    case RequestType::kRepeat:
-      response.text = VoiceQueryEngine::NothingToRepeatText();
-      break;
-    case RequestType::kOther:
-      response.text = VoiceQueryEngine::NotUnderstoodText();
-      break;
-    case RequestType::kSupportedQuery:
-    case RequestType::kUnsupportedQuery: {
-      // relaxed: monotonic stats counter.
-      stats_.queries.fetch_add(1, std::memory_order_relaxed);
-      VoiceQuery query = engine_->GroundQuery(classified);
-      std::string key = CanonicalQueryKey(fingerprint_, query);
-      ServeCachedOrApology(&response, key, fallback_status);
-      break;
-    }
   }
   RecordOutcome(response);
   response.seconds = watch.ElapsedSeconds();

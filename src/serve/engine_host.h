@@ -6,13 +6,14 @@
 // coalescing, store lookup, batched on-demand summarization and the
 // most-specific-speech fallback. It deliberately owns no threads and no
 // cache: the worker pool, the sharded answer cache and the coalescer are
-// injected, so a RoutingService can run many hosts over one shared set of
-// resources while SummaryService wraps a single host with private ones.
+// injected, so a RoutingService runs many hosts -- or one, for a
+// single-dataset deployment -- over one shared set of resources.
 #ifndef VQ_SERVE_ENGINE_HOST_H_
 #define VQ_SERVE_ENGINE_HOST_H_
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -33,7 +34,7 @@
 namespace vq {
 namespace serve {
 
-/// Per-host behavior knobs (the per-request subset of ServiceOptions).
+/// Per-host behavior knobs (RouterOptions::host is the fleet default).
 struct HostOptions {
   /// Run greedy summarization at request time for queries with no exact
   /// pre-computed speech (instead of only falling back to the most specific
@@ -164,12 +165,21 @@ struct HostStats {
   uint64_t stale_serves = 0;  ///< TTL-expired cache entries served anyway
 };
 
+/// The spoken reply to a request no data lookup answers: help (from
+/// `help_text`, called only for help), "repeat that" (serving is
+/// sessionless), text that is not understood, and a query that grounds in
+/// no dataset. EngineHost::Handle and the router's unrouted path both reply
+/// through it.
+std::string CannedReply(RequestType type,
+                        const std::function<std::string()>& help_text);
+
 /// \brief The per-engine serving path over injected shared resources.
 ///
 /// The engine, cache and coalescer must outlive the host; the engine must
 /// not be mutated while the host is answering (VoiceQueryEngine contract).
-/// All public methods are thread-safe. The host is sessionless (see
-/// SummaryService for the rationale).
+/// All public methods are thread-safe. The host is sessionless: "repeat
+/// that" gets the no-history reply, because per-user repeat state belongs to
+/// the connection layer above (VoiceQueryEngine::Session).
 class EngineHost {
  public:
   /// `generation` (when non-zero) is folded into the cache-key fingerprint:
@@ -189,7 +199,8 @@ class EngineHost {
   EngineHost(const EngineHost&) = delete;
   EngineHost& operator=(const EngineHost&) = delete;
 
-  /// Answers one request on the caller's thread (workers call this).
+  /// Answers one request on the caller's thread (workers call this): the
+  /// serving layer's one request-type switch.
   /// `trace` (optional) collects per-stage spans for this request; it must
   /// stay owned by the caller and is only touched from this thread.
   /// `deadline` (optional, not owned, must outlive the call) is the
@@ -197,18 +208,14 @@ class EngineHost {
   /// each check it, an expired budget degrades the answer (stale cache
   /// serve, truncated anytime summary, store fallback) instead of blocking,
   /// and `ServeResponse::status` records the outcome.
+  /// A request that is not `admitted` (the router's per-dataset admission
+  /// shed), or whose budget is already gone once grounded, takes the
+  /// overload turnaround: classify + ground only -- no coalescing, no solve,
+  /// no vocalizing -- then a cached answer if one exists, even TTL-expired
+  /// (marked stale, status kDegraded), else the apology for kShed (not
+  /// admitted) or kTimeout.
   ServeResponse Handle(const std::string& request, obs::Trace* trace = nullptr,
-                       const Deadline* deadline = nullptr);
-
-  /// Overload path, used by the router when it refuses to run the full
-  /// pipeline (admission shed, queue-expired deadline): classify + ground
-  /// only -- no solve, no coalescing -- then serve a cached answer if one
-  /// exists, even TTL-expired (marked stale, status kDegraded). With nothing
-  /// cached, apologizes with `fallback_status` (kShed or kTimeout).
-  /// Non-query requests (help etc.) get their canned texts as usual.
-  ServeResponse HandleOverload(const std::string& request,
-                               ServeStatus fallback_status,
-                               obs::Trace* trace = nullptr);
+                       const Deadline* deadline = nullptr, bool admitted = true);
 
   /// Aggregated optimizer work counters (join/bound row visits, pruning
   /// decisions) over every on-demand solve this host ran. Batches run

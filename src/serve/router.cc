@@ -26,7 +26,7 @@ RoutingService::RoutingService(const DatasetRegistry* registry,
           metrics_->GetHistogram("vq_router_deadline_overrun_seconds")),
       sampled_traces_(options.trace_log_capacity),
       slow_queries_(options.trace_log_capacity),
-      pool_(options.num_threads, ThreadPoolOptions{.numa_pin = true}) {
+      pool_(options.num_threads) {
   cache_.AttachMetrics(metrics_);
   // Eager initial build so the constructor's cost (host construction per
   // dataset) is not paid by the first request.
@@ -420,11 +420,11 @@ RoutedResponse RoutingService::Process(const std::string& request,
       trace->AddTimedSpan("route", snapshot_seconds, routed_at - snapshot_seconds);
     }
 
-    // Per-dataset admission, then the stage ladder: routing expiry checks
-    // run AFTER the route so even an overloaded/expired request still lands
-    // on the right dataset's cheap path (a stale cache serve beats an
-    // apology, and misrouting under load would be a correctness bug the
-    // chaos test hunts for).
+    // Per-dataset admission runs AFTER the route, so even an overloaded or
+    // expired request still lands on the right dataset's cheap path (a stale
+    // cache serve beats an apology, and misrouting under load would be a
+    // correctness bug the chaos test hunts for). A saturated dataset, like a
+    // budget that died during routing, gets the host's overload turnaround.
     // relaxed: the per-dataset admission counter is approximate by design (a
     // racing burst may briefly overshoot); nothing else rides on it.
     struct ActiveGuard {
@@ -433,19 +433,9 @@ RoutedResponse RoutingService::Process(const std::string& request,
     } active_guard{&slot.active_requests};
     uint64_t active =
         slot.active_requests.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (host_options.max_pending_requests > 0 &&
-        active > host_options.max_pending_requests) {
-      // This dataset is saturated: cheap overload turnaround (classify +
-      // cached/stale lookup, never a solve).
-      out.response = slot.host->HandleOverload(request, ServeStatus::kShed,
-                                               trace.get());
-    } else if (deadline != nullptr && deadline->Expired()) {
-      // Budget died during routing: same cheap path, flagged timeout.
-      out.response = slot.host->HandleOverload(request, ServeStatus::kTimeout,
-                                               trace.get());
-    } else {
-      out.response = slot.host->Handle(request, trace.get(), deadline);
-    }
+    bool admitted = host_options.max_pending_requests == 0 ||
+                    active <= host_options.max_pending_requests;
+    out.response = slot.host->Handle(request, trace.get(), deadline, admitted);
     out.dataset = slot.host->name();
     out.routed = true;
     out.route_score = decision.score;
@@ -481,7 +471,7 @@ RoutedResponse RoutingService::Process(const std::string& request,
   // No dataset's vocabulary covers the request. Help/repeat/other are still
   // classified (keyword rules need no vocabulary) so the caller gets the
   // canned responses instead of a crash or a silent drop; query-shaped text
-  // that grounds nowhere falls out as not-understood/unanswerable.
+  // that grounds nowhere gets the no-summary reply. Help lists the datasets.
   // relaxed: monotonic counter.
   unrouted_.fetch_add(1, std::memory_order_relaxed);
   Stopwatch unrouted_watch;
@@ -490,21 +480,8 @@ RoutedResponse RoutingService::Process(const std::string& request,
         hosts->slots[0]->host->engine().classifier().Classify(request);
     out.response.type = classified.type;
   }
-  switch (out.response.type) {
-    case RequestType::kHelp:
-      out.response.text = HelpText();
-      break;
-    case RequestType::kRepeat:
-      out.response.text = VoiceQueryEngine::NothingToRepeatText();
-      break;
-    case RequestType::kSupportedQuery:
-    case RequestType::kUnsupportedQuery:
-      out.response.text = VoiceQueryEngine::NoSummaryText();
-      break;
-    case RequestType::kOther:
-      out.response.text = VoiceQueryEngine::NotUnderstoodText();
-      break;
-  }
+  out.response.text =
+      CannedReply(out.response.type, [this] { return HelpText(); });
   out.response.source = AnswerSource::kUnanswerable;
   out.response.answered = false;
   out.response.seconds = unrouted_watch.ElapsedSeconds();

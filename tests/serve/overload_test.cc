@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "util/fault.h"
@@ -92,7 +93,8 @@ TEST_F(OverloadTest, QueueExpiredRequestTurnsAroundBeforeRouting) {
 TEST_F(OverloadTest, RouteStageExpiryStillLandsOnTheRightDataset) {
   RouterOptions options;
   options.default_deadline_seconds = 0.25;
-  // Read #1 (stage 0) passes; read #2 -- the post-route check -- expires.
+  // Read #1 (stage 0) passes; read #2 -- the routed host's check once the
+  // query is grounded -- expires.
   options.deadline_clock = SteppingClock(2);
   RoutingService router(&registry_, options);
 
@@ -254,6 +256,7 @@ TEST_F(OverloadTest, PerDatasetAdmissionShedsWithoutTouchingTheSolver) {
 TEST_F(OverloadTest, ShedServesStaleCacheEntryMarkedDegraded) {
   HostOverrides policy;
   policy.answer_ttl_seconds = 0.02;
+  policy.simulated_vocalize_seconds = 0.001;
   DatasetRegistry registry;
   ASSERT_TRUE(registry
                   .AddGenerated("flights", FlightsConfig(), 600, kSeed, {},
@@ -263,12 +266,19 @@ TEST_F(OverloadTest, ShedServesStaleCacheEntryMarkedDegraded) {
   RoutedResponse warm = router.AnswerNow("cancelled in February");
   ASSERT_TRUE(warm.response.answered);
 
-  // Let the answered entry's TTL lapse, then hit the overload path: a stale
-  // answer beats the overload apology and is flagged for the caller.
+  // Let the answered entry's TTL lapse, then hit the overload path (a
+  // request the dataset did not admit): a stale answer beats the overload
+  // apology and is flagged for the caller.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   EngineHost* host = router.host("flights");
-  ServeResponse stale =
-      host->HandleOverload("cancelled in February", ServeStatus::kShed);
+  obs::Trace trace;
+  ServeResponse stale = host->Handle("cancelled in February", &trace, nullptr,
+                                     /*admitted=*/false);
+  // The turnaround only classifies, grounds and reads the cache: no
+  // coalescer, no solve, no vocalizing.
+  std::vector<std::string> spans;
+  for (const obs::TraceSpan& span : trace.spans()) spans.emplace_back(span.name);
+  EXPECT_EQ(spans, (std::vector<std::string>{"classify", "ground"}));
   EXPECT_TRUE(stale.answered);
   EXPECT_TRUE(stale.stale);
   EXPECT_EQ(stale.status, ServeStatus::kDegraded);
@@ -276,8 +286,8 @@ TEST_F(OverloadTest, ShedServesStaleCacheEntryMarkedDegraded) {
   EXPECT_EQ(host->stats().stale_serves, 1u);
 
   // Nothing cached for this one: the shed apology comes back.
-  ServeResponse apology =
-      host->HandleOverload("cancelled in Winter", ServeStatus::kShed);
+  ServeResponse apology = host->Handle("cancelled in Winter", nullptr, nullptr,
+                                       /*admitted=*/false);
   EXPECT_FALSE(apology.answered);
   EXPECT_EQ(apology.status, ServeStatus::kShed);
   EXPECT_EQ(apology.text, VoiceQueryEngine::OverloadedText());

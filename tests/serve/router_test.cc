@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "serve/registry.h"
+#include "storage/datasets.h"
 
 namespace vq {
 namespace serve {
@@ -119,6 +120,42 @@ TEST_F(RoutingServiceTest, UnroutableQueryIsUnanswerableNotACrash) {
   EXPECT_FALSE(routed.response.answered);
   EXPECT_EQ(routed.response.source, AnswerSource::kUnanswerable);
   EXPECT_EQ(routed.response.type, RequestType::kOther);
+  EXPECT_EQ(router.stats().unrouted, 1u);
+}
+
+TEST_F(RoutingServiceTest, UnroutedRepeatAndOtherGetTheCannedReplies) {
+  RoutingService router(&registry_);
+  RoutedResponse repeat = router.AnswerNow("repeat that");
+  EXPECT_FALSE(repeat.routed);
+  EXPECT_EQ(repeat.response.type, RequestType::kRepeat);
+  EXPECT_EQ(repeat.response.text, "There is nothing to repeat yet.");
+  EXPECT_EQ(repeat.response.source, AnswerSource::kUnanswerable);
+  EXPECT_FALSE(repeat.response.answered);
+
+  RoutedResponse other = router.AnswerNow("sing me a song please");
+  EXPECT_FALSE(other.routed);
+  EXPECT_EQ(other.response.type, RequestType::kOther);
+  EXPECT_EQ(other.response.text,
+            "Sorry, I did not understand. Ask for help to hear examples.");
+  EXPECT_EQ(other.response.source, AnswerSource::kUnanswerable);
+  EXPECT_FALSE(other.response.answered);
+  EXPECT_EQ(router.stats().unrouted, 2u);
+}
+
+TEST_F(RoutingServiceTest, UnroutedQueryGetsTheNoSummaryReply) {
+  // A route threshold no coverage score reaches: the request is still
+  // classified as a query, but no dataset takes it.
+  RouterOptions options;
+  options.min_route_score = 1e9;
+  RoutingService router(&registry_, options);
+  RoutedResponse routed = router.AnswerNow("cancelled in February");
+  EXPECT_FALSE(routed.routed);
+  EXPECT_TRUE(routed.dataset.empty());
+  EXPECT_EQ(routed.response.type, RequestType::kSupportedQuery);
+  EXPECT_EQ(routed.response.text, "I have no summary matching that question.");
+  EXPECT_EQ(routed.response.source, AnswerSource::kUnanswerable);
+  EXPECT_FALSE(routed.response.answered);
+  EXPECT_EQ(routed.response.status, ServeStatus::kOk);
   EXPECT_EQ(router.stats().unrouted, 1u);
 }
 

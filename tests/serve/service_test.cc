@@ -1,174 +1,163 @@
-#include "serve/service.h"
-
+// The single-dataset serving front end: the running example behind a
+// RoutingService over a one-entry registry, answering on demand, falling back
+// to the store, coalescing identical misses and matching the engine's answers.
 #include <gtest/gtest.h>
 
 #include <future>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "engine/voice_engine.h"
+#include "serve/registry.h"
+#include "serve/router.h"
 #include "storage/datasets.h"
 
 namespace vq {
 namespace serve {
 namespace {
 
-Configuration RunningExampleConfig(std::vector<std::string> dimensions = {
-                                       "region", "season"}) {
-  Configuration config;
-  config.table = "running_example";
-  config.dimensions = std::move(dimensions);
-  config.targets = {"delay"};
-  config.max_query_predicates = 2;
-  config.max_fact_dims = 2;
-  config.max_facts = 3;
-  config.prior = PriorKind::kZero;
-  return config;
-}
-
-class SummaryServiceTest : public ::testing::Test {
+/// The running example (Table II) served alone: a one-entry registry under
+/// a configuration over `dimensions`, with "delays" as a target synonym.
+class SingleDatasetTest : public ::testing::Test {
  protected:
-  void BuildEngine(Configuration config) {
-    table_ = std::make_unique<Table>(MakeRunningExampleTable());
-    auto engine = VoiceQueryEngine::Build(table_.get(), std::move(config), {});
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    engine_ = std::make_unique<VoiceQueryEngine>(std::move(engine).value());
-    ASSERT_TRUE(
-        engine_->mutable_extractor()->AddTargetSynonym("delays", "delay").ok());
+  static Configuration RunningExampleConfig(
+      std::vector<std::string> dimensions = {"region", "season"}) {
+    Configuration config;
+    config.table = "running_example";
+    config.dimensions = std::move(dimensions);
+    config.targets = {"delay"};
+    config.max_query_predicates = 2;
+    config.max_fact_dims = 2;
+    config.max_facts = 3;
+    config.prior = PriorKind::kZero;
+    return config;
   }
 
-  std::unique_ptr<Table> table_;
-  std::unique_ptr<VoiceQueryEngine> engine_;
+  static void AddRunningExample(DatasetRegistry* registry,
+                                Configuration config,
+                                std::optional<HostOverrides> policy = {}) {
+    ASSERT_TRUE(registry
+                    ->AddDataset("re", MakeRunningExampleTable(),
+                                 std::move(config), {}, policy,
+                                 [](VoiceQueryEngine* engine) {
+                                   ASSERT_TRUE(engine->mutable_extractor()
+                                                   ->AddTargetSynonym("delays",
+                                                                      "delay")
+                                                   .ok());
+                                 })
+                    .ok());
+  }
 };
 
-TEST_F(SummaryServiceTest, AnswersExactQueryLikeTheEngine) {
-  BuildEngine(RunningExampleConfig());
-  VoiceQueryEngine::Session session;
-  auto expected = engine_->Answer("delays in Winter", &session);
-  ASSERT_NE(expected.speech, nullptr);
-
-  SummaryService service(engine_.get());
-  ServeResponse response = service.AnswerNow("delays in Winter");
-  EXPECT_EQ(response.type, RequestType::kSupportedQuery);
-  EXPECT_TRUE(response.answered);
-  EXPECT_EQ(response.source, AnswerSource::kStoreExact);
-  EXPECT_EQ(response.text, expected.text);
-  EXPECT_FALSE(response.cache_hit);
-  EXPECT_GE(response.seconds, 0.0);
-}
-
-TEST_F(SummaryServiceTest, RepeatedQueryHitsTheCache) {
-  BuildEngine(RunningExampleConfig());
-  SummaryService service(engine_.get());
-  ServeResponse first = service.AnswerNow("delays in Winter");
-  ServeResponse second = service.AnswerNow("delays in Winter");
-  EXPECT_FALSE(first.cache_hit);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(second.text, first.text);
-  EXPECT_EQ(second.source, first.source);
-  ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.store_exact_hits, 1u);
-  EXPECT_GT(service.cache().TotalStats().HitRate(), 0.0);
-}
-
-TEST_F(SummaryServiceTest, HelpRepeatAndOtherAreServedInline) {
-  BuildEngine(RunningExampleConfig());
-  SummaryService service(engine_.get());
-  ServeResponse help = service.AnswerNow("help");
-  EXPECT_EQ(help.type, RequestType::kHelp);
-  EXPECT_EQ(help.text, engine_->HelpText());
-  ServeResponse repeat = service.AnswerNow("repeat that");
-  EXPECT_EQ(repeat.type, RequestType::kRepeat);
-  EXPECT_NE(repeat.text.find("nothing to repeat"), std::string::npos);
-  ServeResponse other = service.AnswerNow("sing me a song please");
-  EXPECT_EQ(other.type, RequestType::kOther);
-  EXPECT_EQ(service.stats().requests, 3u);
-  EXPECT_EQ(service.stats().queries, 0u);
-}
-
-TEST_F(SummaryServiceTest, OnDemandSummarizesNonMaterializedQuery) {
+TEST_F(SingleDatasetTest, OnDemandSummarizesNonMaterializedQuery) {
   // Pre-process only season queries; ask about a region. The bare engine can
-  // only fall back to the all-records speech, the service optimizes the
-  // exact subset on demand -- and its answer must match what a full
-  // pre-processing run would have stored for region=North.
-  Configuration full = RunningExampleConfig();
-  BuildEngine(full);
+  // only fall back to the all-records speech, the router optimizes the exact
+  // subset on demand -- and its answer must match what a full pre-processing
+  // run would have stored for region=North.
+  DatasetRegistry full;
+  AddRunningExample(&full, RunningExampleConfig());
   VoiceQueryEngine::Session session;
   std::string expected_north =
-      engine_->Answer("delays in the North", &session).text;
+      full.engine("re")->Answer("delays in the North", &session).text;
 
-  BuildEngine(RunningExampleConfig({"season"}));
+  DatasetRegistry registry;
+  AddRunningExample(&registry, RunningExampleConfig({"season"}));
   VoiceQueryEngine::Session season_session;
-  auto engine_answer = engine_->Answer("delays in the North", &season_session);
+  auto engine_answer =
+      registry.engine("re")->Answer("delays in the North", &season_session);
   ASSERT_NE(engine_answer.speech, nullptr);
   EXPECT_TRUE(engine_answer.speech->query.predicates.empty())
       << "engine should only find the unfiltered fallback speech";
 
-  SummaryService service(engine_.get());
-  ServeResponse response = service.AnswerNow("delays in the North");
-  EXPECT_TRUE(response.answered);
-  EXPECT_EQ(response.source, AnswerSource::kOnDemand);
-  EXPECT_EQ(response.text, expected_north);
-  EXPECT_NE(response.text, engine_answer.text);
-  EXPECT_EQ(service.stats().on_demand_summaries, 1u);
+  RoutingService router(&registry);
+  EngineHost* host = router.host("re");
+  ASSERT_NE(host, nullptr);
+  RoutedResponse routed = router.AnswerNow("delays in the North");
+  EXPECT_TRUE(routed.routed);
+  EXPECT_TRUE(routed.response.answered);
+  EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand);
+  EXPECT_EQ(routed.response.text, expected_north);
+  EXPECT_NE(routed.response.text, engine_answer.text);
+  EXPECT_EQ(host->stats().on_demand_summaries, 1u);
 
   // The on-demand answer is cached like any other.
-  ServeResponse again = service.AnswerNow("delays in the North");
-  EXPECT_TRUE(again.cache_hit);
-  EXPECT_EQ(again.text, expected_north);
-  EXPECT_EQ(service.stats().on_demand_summaries, 1u);
+  RoutedResponse again = router.AnswerNow("delays in the North");
+  EXPECT_TRUE(again.response.cache_hit);
+  EXPECT_EQ(again.response.text, expected_north);
+  EXPECT_EQ(host->stats().on_demand_summaries, 1u);
 }
 
-TEST_F(SummaryServiceTest, FallbackWhenOnDemandDisabled) {
-  BuildEngine(RunningExampleConfig({"season"}));
-  ServiceOptions options;
-  options.host.on_demand_summaries = false;
-  SummaryService service(engine_.get(), options);
-  ServeResponse response = service.AnswerNow("delays in the North");
-  EXPECT_TRUE(response.answered);
-  EXPECT_EQ(response.source, AnswerSource::kStoreFallback);
-  EXPECT_EQ(service.stats().store_fallback_hits, 1u);
-  EXPECT_EQ(service.stats().on_demand_summaries, 0u);
+TEST_F(SingleDatasetTest, HostAnswersHelpRepeatAndOtherInline) {
+  DatasetRegistry registry;
+  AddRunningExample(&registry, RunningExampleConfig());
+  RoutingService router(&registry);
+  EngineHost* host = router.host("re");
+  ASSERT_NE(host, nullptr);
+  ServeResponse help = host->Handle("help");
+  EXPECT_EQ(help.type, RequestType::kHelp);
+  EXPECT_EQ(help.text, registry.engine("re")->HelpText());
+  ServeResponse repeat = host->Handle("repeat that");
+  EXPECT_EQ(repeat.type, RequestType::kRepeat);
+  EXPECT_EQ(repeat.text, "There is nothing to repeat yet.");
+  ServeResponse other = host->Handle("sing me a song please");
+  EXPECT_EQ(other.type, RequestType::kOther);
+  EXPECT_EQ(other.text,
+            "Sorry, I did not understand. Ask for help to hear examples.");
+  EXPECT_EQ(host->stats().requests, 3u);
+  EXPECT_EQ(host->stats().queries, 0u);
 }
 
-TEST_F(SummaryServiceTest, ConcurrentIdenticalMissesSummarizeExactlyOnce) {
-  BuildEngine(RunningExampleConfig({"season"}));
-  ServiceOptions options;
+TEST_F(SingleDatasetTest, FallbackWhenOnDemandDisabled) {
+  HostOverrides policy;
+  policy.on_demand_summaries = false;
+  DatasetRegistry registry;
+  AddRunningExample(&registry, RunningExampleConfig({"season"}), policy);
+  RoutingService router(&registry);
+  RoutedResponse routed = router.AnswerNow("delays in the North");
+  EXPECT_TRUE(routed.response.answered);
+  EXPECT_EQ(routed.response.source, AnswerSource::kStoreFallback);
+  HostStats stats = router.host("re")->stats();
+  EXPECT_EQ(stats.store_fallback_hits, 1u);
+  EXPECT_EQ(stats.on_demand_summaries, 0u);
+}
+
+TEST_F(SingleDatasetTest, ConcurrentIdenticalMissesSummarizeExactlyOnce) {
+  DatasetRegistry registry;
+  AddRunningExample(&registry, RunningExampleConfig({"season"}));
+  RouterOptions options;
   options.num_threads = 4;
-  SummaryService service(engine_.get(), options);
+  RoutingService router(&registry, options);
 
   const int kRequests = 32;
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<std::future<RoutedResponse>> futures;
   futures.reserve(kRequests);
   for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(service.Submit("delays in the North"));
+    futures.push_back(router.Submit("delays in the North"));
   }
   std::string text;
   for (auto& future : futures) {
-    ServeResponse response = future.get();
-    EXPECT_TRUE(response.answered);
-    if (text.empty()) text = response.text;
-    EXPECT_EQ(response.text, text);
+    RoutedResponse routed = future.get();
+    EXPECT_TRUE(routed.response.answered);
+    if (text.empty()) text = routed.response.text;
+    EXPECT_EQ(routed.response.text, text);
   }
-  ServiceStats stats = service.stats();
+  HostStats stats = router.host("re")->stats();
   // The coalescing invariant: one optimization run for the unique query, and
   // every other request either hit the cache or waited on the leader.
   EXPECT_EQ(stats.on_demand_summaries, 1u);
   EXPECT_EQ(stats.cache_hits + stats.coalesced_waits,
             static_cast<uint64_t>(kRequests - 1));
-  EXPECT_EQ(service.coalescer().leaders(), 1u);
-  EXPECT_EQ(service.coalescer().InFlight(), 0u);
+  EXPECT_EQ(router.coalescer().leaders(), 1u);
+  EXPECT_EQ(router.coalescer().InFlight(), 0u);
 }
 
-TEST_F(SummaryServiceTest, MultiThreadedMixedWorkloadMatchesEngineAnswers) {
-  BuildEngine(RunningExampleConfig());
-  ServiceOptions options;
+TEST_F(SingleDatasetTest, MultiThreadedMixedWorkloadMatchesEngineAnswers) {
+  DatasetRegistry registry;
+  AddRunningExample(&registry, RunningExampleConfig());
+  RouterOptions options;
   options.num_threads = 4;
   options.cache_capacity = 64;
-  SummaryService service(engine_.get(), options);
+  RoutingService router(&registry, options);
 
   const std::vector<std::string> regions = {"North", "South", "East", "West"};
   const std::vector<std::string> seasons = {"Winter", "Spring", "Summer", "Fall"};
@@ -185,39 +174,30 @@ TEST_F(SummaryServiceTest, MultiThreadedMixedWorkloadMatchesEngineAnswers) {
   std::vector<std::string> expected;
   VoiceQueryEngine::Session session;
   for (const auto& request : requests) {
-    expected.push_back(engine_->Answer(request, &session).text);
+    expected.push_back(registry.engine("re")->Answer(request, &session).text);
   }
 
   const int kRounds = 5;
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<std::future<RoutedResponse>> futures;
   for (int round = 0; round < kRounds; ++round) {
     for (const auto& request : requests) {
-      futures.push_back(service.Submit(request));
+      futures.push_back(router.Submit(request));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
-    ServeResponse response = futures[i].get();
-    EXPECT_TRUE(response.answered);
-    EXPECT_EQ(response.text, expected[i % requests.size()]) << requests[i % requests.size()];
+    RoutedResponse routed = futures[i].get();
+    const std::string& request = requests[i % requests.size()];
+    EXPECT_TRUE(routed.routed) << request;
+    EXPECT_TRUE(routed.response.answered) << request;
+    EXPECT_EQ(routed.response.text, expected[i % requests.size()]) << request;
   }
-  ServiceStats stats = service.stats();
+  HostStats stats = router.host("re")->stats();
   EXPECT_EQ(stats.requests, requests.size() * kRounds);
   // Every query is materialized, so nothing needed the optimizer...
   EXPECT_EQ(stats.on_demand_summaries, 0u);
   // ...and after round one the cache answers (modulo coalesced waits).
   EXPECT_GT(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
-}
-
-TEST_F(SummaryServiceTest, FingerprintSeparatesConfigurations) {
-  Configuration a = RunningExampleConfig();
-  Configuration b = RunningExampleConfig({"season"});
-  EXPECT_NE(ConfigFingerprint(a), ConfigFingerprint(b));
-  EXPECT_EQ(ConfigFingerprint(a), ConfigFingerprint(RunningExampleConfig()));
-  VoiceQuery query;
-  query.target_index = 0;
-  EXPECT_NE(CanonicalQueryKey(ConfigFingerprint(a), query),
-            CanonicalQueryKey(ConfigFingerprint(b), query));
 }
 
 }  // namespace
