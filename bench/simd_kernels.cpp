@@ -1,28 +1,32 @@
 // SIMD kernel layer micro-bench + end-to-end deltas.
 //
-// (1) Per-kernel ns per 64-row block, forced-scalar table vs the
-// runtime-dispatched table, over arrays shaped like the real evaluator
-// inputs (the flights instance the scan bench uses: ~12k merged rows, ~1.6k
-// facts, CSR scope segments of realistic lengths); (2) end-to-end greedy
+// (1) Per-kernel ns per 64-row block, scalar vs EVERY vector table in
+// AllImplementations() (median and min/max speedup over interleaved rounds,
+// plus which variant each table's slot holds), over arrays shaped like the
+// real evaluator inputs (the flights instance the scan bench uses: ~12k
+// merged rows, ~1.6k facts, CSR scope segments of realistic lengths); (2)
+// end-to-end greedy
 // solve time under both tables, with selected facts and PerfCounters
 // verified identical (the counters serialize through
 // PerfCounters::ForEachField -- the shared serialization contract); (3)
 // routed qps at 4 threads against the BENCH_router.json baseline, proving
 // the kernel layer does not regress the serving fleet.
 //
-// Emits BENCH_simd.json (override with VQ_BENCH_OUT). Exits non-zero when a
-// vector table is dispatched but the weighted-deviation or
-// single-fact-utility kernels fall under 2x, greedy does not improve, or
-// routed qps regresses by more than 15%. On machines whose dispatch
-// resolves to scalar (no AVX2/NEON, or VQ_FORCE_SCALAR) the speedup gates
-// are skipped: there is nothing to compare.
+// Emits BENCH_simd.json (override with VQ_BENCH_OUT). Exits non-zero when
+// greedy facts or counters diverge, when a vector dispatch regresses routed
+// qps by more than 15%, or when an avx2 dispatch has its weighted-deviation
+// or single-fact-utility kernels under 2x or greedy not improving. On
+// machines whose dispatch resolves to scalar (no AVX2, or VQ_FORCE_SCALAR)
+// the speedup gates are skipped: there is nothing to compare.
 //
 // bench/check_bench_regression.py (cmake target check_simd_regression)
 // diffs the end_to_end numbers of a rerun against the checked-in baseline.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,6 +37,7 @@
 #include "serve/router.h"
 #include "util/json.h"
 #include "util/simd.h"
+#include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
@@ -67,13 +72,36 @@ std::string RequestText(const vq::Table& table, const vq::VoiceQuery& query) {
   return text;
 }
 
-/// One benched kernel: per-call lambdas bound to a kernel table.
+/// One kernel slot timed under one vector table, as medians over
+/// kRounds interleaved rounds (scalar, then every table, per round).
+struct SlotResult {
+  std::string table;
+  /// The first table in AllImplementations() holding the same function:
+  /// "scalar" or another table's name when the slot borrows a variant.
+  std::string impl;
+  double ns_per_block = 0.0;
+  double speedup = 0.0;  ///< median of the per-round scalar/table ratios
+  double speedup_min = 0.0;
+  double speedup_max = 0.0;
+};
+
+/// One benched kernel: the scalar time plus one SlotResult per vector table.
 struct KernelResult {
   std::string name;
   double scalar_ns_per_block = 0.0;
-  double dispatched_ns_per_block = 0.0;
-  double speedup = 0.0;
+  std::vector<SlotResult> tables;
 };
+
+constexpr int kRounds = 5;
+
+template <typename Slot>
+std::string SlotOwner(Slot vq::simd::Kernels::*slot,
+                      const vq::simd::Kernels& table) {
+  for (const vq::simd::Kernels* candidate : vq::simd::AllImplementations()) {
+    if (candidate->*slot == table.*slot) return candidate->name;
+  }
+  return table.name;
+}
 
 /// Defeats dead-code elimination of benched kernel results.
 volatile double g_sink = 0.0;
@@ -113,13 +141,6 @@ int main() {
   std::printf("Instance: %zu merged rows (%zu blocks), %zu facts, %zu groups\n",
               n, words, catalog.NumFacts(), catalog.NumGroups());
 
-  // The largest fact group: its CSR segments are the real gain-loop shape.
-  uint32_t big_group = 0;
-  for (uint32_t g = 0; g < catalog.NumGroups(); ++g) {
-    if (catalog.group(g).num_facts > catalog.group(big_group).num_facts) big_group = g;
-  }
-  const vq::FactGroup& group = catalog.group(big_group);
-
   // Three speech scope bitsets for the cover-mask kernels.
   vq::Rng rng(kSeed);
   std::vector<const uint64_t*> speech_bits;
@@ -136,73 +157,129 @@ int main() {
   const std::vector<double>& weights = instance.weight;
   const std::vector<double>& targets = instance.target;
 
-  // Mutable deviation column for min_update, pre-settled so both tables
-  // measure the same steady state (first application lowers rows; settled
-  // calls compare-without-store, identical work for scalar and vector).
-  std::vector<double> settled(prior_dev.begin(), prior_dev.end());
-  for (uint32_t i = 0; i < group.num_facts; ++i) {
-    vq::FactId id = group.first_fact + i;
+  // min_update runs once per fact a greedy solve selects (ApplyFact), so it
+  // is timed on the selected facts of the G-O solve timed end to end below,
+  // applied in turn to a deviation column that starts at the prior.
+  vq::GreedyOptions greedy_options;
+  greedy_options.pruning = vq::FactPruning::kOptimized;
+  std::vector<vq::FactId> selected = GreedySummary(evaluator, greedy_options).facts;
+  std::vector<uint32_t> touched;  // rows the selected scopes cover
+  for (vq::FactId id : selected) {
     auto scope = catalog.ScopeRows(id);
-    (void)scalar.min_update(settled.data(), scope.data(), catalog.ScopeDevs(id).data(),
-                            catalog.ScopeWeights(id).data(), scope.size());
+    touched.insert(touched.end(), scope.begin(), scope.end());
   }
+  double apply_blocks = static_cast<double>(touched.size()) / 64.0;
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<double> deviation(prior_dev.begin(), prior_dev.end());
   std::vector<double> utilities = evaluator.SingleFactUtilities();
 
   // ---- Per-kernel measurements (full instance pass per call, ns/block;
   // kernels whose pass covers more than one instance-worth of rows override
-  // the block count).
-  auto bench_kernel = [&](const std::string& name, auto&& call,
+  // the block count). Every vector table in AllImplementations() is timed
+  // against scalar, not just the dispatched one, so each slot's choice of
+  // variant is backed by a number.
+  std::vector<const vq::simd::Kernels*> vector_tables;
+  for (const vq::simd::Kernels* table : vq::simd::AllImplementations()) {
+    if (table != &scalar) vector_tables.push_back(table);
+  }
+  auto bench_kernel = [&](const std::string& name, auto slot, auto&& call,
                           double pass_blocks = 0.0) {
     if (pass_blocks <= 0.0) pass_blocks = blocks;
+    auto ns_per_block = [&](const vq::simd::Kernels& k) {
+      return MicrosPerCall([&] { call(k); }) * 1e3 / pass_blocks;
+    };
+    std::vector<double> scalar_ns;
+    std::vector<std::vector<double>> table_ns(vector_tables.size());
+    std::vector<std::vector<double>> ratios(vector_tables.size());
+    for (int round = 0; round < kRounds; ++round) {
+      scalar_ns.push_back(ns_per_block(scalar));
+      for (size_t t = 0; t < vector_tables.size(); ++t) {
+        table_ns[t].push_back(ns_per_block(*vector_tables[t]));
+        ratios[t].push_back(scalar_ns.back() / table_ns[t].back());
+      }
+    }
     KernelResult result;
     result.name = name;
-    result.scalar_ns_per_block =
-        MicrosPerCall([&] { call(scalar); }) * 1e3 / pass_blocks;
-    result.dispatched_ns_per_block =
-        MicrosPerCall([&] { call(dispatched); }) * 1e3 / pass_blocks;
-    result.speedup = result.scalar_ns_per_block / result.dispatched_ns_per_block;
+    result.scalar_ns_per_block = vq::Median(scalar_ns);
+    for (size_t t = 0; t < vector_tables.size(); ++t) {
+      SlotResult slot_result;
+      slot_result.table = vector_tables[t]->name;
+      slot_result.impl = SlotOwner(slot, *vector_tables[t]);
+      slot_result.ns_per_block = vq::Median(table_ns[t]);
+      slot_result.speedup = vq::Median(ratios[t]);
+      slot_result.speedup_min = *std::min_element(ratios[t].begin(), ratios[t].end());
+      slot_result.speedup_max = *std::max_element(ratios[t].begin(), ratios[t].end());
+      result.tables.push_back(slot_result);
+    }
     return result;
   };
 
+  using vq::simd::Kernels;
   std::vector<KernelResult> kernels;
-  kernels.push_back(bench_kernel("or_popcount", [&](const vq::simd::Kernels& k) {
-    Sink(static_cast<double>(k.or_popcount(speech_bits.data(), speech_bits.size(),
-                                           words, covered.data())));
-  }));
-  kernels.push_back(bench_kernel("masked_sum64", [&](const vq::simd::Kernels& k) {
-    // The Error() inner loop shape: one masked block sum per cover word.
-    double sum = 0.0;
-    const double* padded = prior_dev.data();  // full blocks only below
-    for (size_t w = 0; w + 1 < words; ++w) {
-      sum += k.masked_sum64(padded + (w << 6), ~covered[w]);
-    }
-    Sink(sum);
-  }));
-  kernels.push_back(bench_kernel("weighted_sum", [&](const vq::simd::Kernels& k) {
-    Sink(k.weighted_sum(prior_dev.data(), weights.data(), n));
-  }));
   kernels.push_back(
-      bench_kernel("weighted_abs_dev", [&](const vq::simd::Kernels& k) {
+      bench_kernel("or_popcount", &Kernels::or_popcount, [&](const Kernels& k) {
+        Sink(static_cast<double>(k.or_popcount(
+            speech_bits.data(), speech_bits.size(), words, covered.data())));
+      }));
+  const double* padded = prior_dev.data();  // full blocks only below
+  kernels.push_back(
+      bench_kernel("masked_sum64", &Kernels::masked_sum64, [&](const Kernels& k) {
+        // The Error() inner loop shape: one masked block sum per cover word.
+        double sum = 0.0;
+        for (size_t w = 0; w + 1 < words; ++w) {
+          sum += k.masked_sum64(padded + (w << 6), ~covered[w]);
+        }
+        Sink(sum);
+      }));
+  double join_blocks =
+      static_cast<double>(catalog.NumGroups()) * blocks;  // rows per full join
+  kernels.push_back(bench_kernel(
+      "masked_single_fact", &Kernels::masked_single_fact,
+      [&](const Kernels& k) {
+        // Every fact as a one-fact speech under kClosest: each row of the
+        // fact's scope resolves against the fact value in one masked call
+        // per block. A group's facts partition the rows, so one pass covers
+        // every row once per group -- the same row count as the full join.
+        double sum = 0.0;
+        for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
+          std::span<const uint64_t> bits = catalog.ScopeBits(id);
+          for (size_t w = 0; w + 1 < words; ++w) {
+            size_t base = w << 6;
+            sum += k.masked_single_fact(instance.prior, targets.data() + base,
+                                        weights.data() + base, padded + base,
+                                        bits[w]);
+          }
+        }
+        Sink(sum);
+      },
+      join_blocks));
+  kernels.push_back(
+      bench_kernel("weighted_sum", &Kernels::weighted_sum, [&](const Kernels& k) {
+        Sink(k.weighted_sum(prior_dev.data(), weights.data(), n));
+      }));
+  kernels.push_back(bench_kernel(
+      "weighted_abs_dev", &Kernels::weighted_abs_dev, [&](const Kernels& k) {
         Sink(k.weighted_abs_dev(instance.prior, targets.data(), weights.data(), n));
       }));
-  kernels.push_back(
-      bench_kernel("gather_weighted_sum", [&](const vq::simd::Kernels& k) {
-        // GroupUtilityBound shape: one gathered sum per fact of the group.
+  kernels.push_back(bench_kernel(
+      "gather_weighted_sum", &Kernels::gather_weighted_sum, [&](const Kernels& k) {
+        // GroupUtilityBound shape: one gathered sum per fact, for every
+        // group (the gather kernels below run the same full join, since
+        // greedy bounds, joins and applies across all groups).
         double bound = 0.0;
-        for (uint32_t i = 0; i < group.num_facts; ++i) {
-          vq::FactId id = group.first_fact + i;
+        for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
           auto scope = catalog.ScopeRows(id);
           bound = std::max(bound, k.gather_weighted_sum(
                                       prior_dev.data(), scope.data(),
                                       catalog.ScopeWeights(id).data(), scope.size()));
         }
         Sink(bound);
-      }));
-  double join_blocks =
-      static_cast<double>(catalog.NumGroups()) * blocks;  // rows per full join
+      },
+      join_blocks));
   kernels.push_back(bench_kernel(
-      "positive_gain",
-      [&](const vq::simd::Kernels& k) {
+      "positive_gain", &Kernels::positive_gain,
+      [&](const Kernels& k) {
         // The single-fact-utility kernel on the FULL initialization join:
         // every fact of every group, streaming the CSR-aligned SoA tables
         // (pre-gathered prior deviations included) -- exactly what
@@ -217,13 +294,12 @@ int main() {
         Sink(total);
       },
       join_blocks));
-  kernels.push_back(
-      bench_kernel("gather_positive_gain", [&](const vq::simd::Kernels& k) {
-        // Greedy gain-loop shape: the largest group's segments, gathering
-        // the (mutable) deviation column.
+  kernels.push_back(bench_kernel(
+      "gather_positive_gain", &Kernels::gather_positive_gain, [&](const Kernels& k) {
+        // Greedy gain-loop shape: every group's segments, gathering the
+        // (mutable) deviation column.
         double total = 0.0;
-        for (uint32_t i = 0; i < group.num_facts; ++i) {
-          vq::FactId id = group.first_fact + i;
+        for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
           auto scope = catalog.ScopeRows(id);
           total += k.gather_positive_gain(prior_dev.data(), scope.data(),
                                           catalog.ScopeDevs(id).data(),
@@ -231,44 +307,57 @@ int main() {
                                           scope.size());
         }
         Sink(total);
-      }));
-  kernels.push_back(bench_kernel("min_update", [&](const vq::simd::Kernels& k) {
-    double reduction = 0.0;
-    for (uint32_t i = 0; i < group.num_facts; ++i) {
-      vq::FactId id = group.first_fact + i;
-      auto scope = catalog.ScopeRows(id);
-      reduction += k.min_update(settled.data(), scope.data(),
-                                catalog.ScopeDevs(id).data(),
-                                catalog.ScopeWeights(id).data(), scope.size());
-    }
-    Sink(reduction);
-  }));
-  kernels.push_back(bench_kernel("argmax", [&](const vq::simd::Kernels& k) {
+      },
+      join_blocks));
+  kernels.push_back(
+      bench_kernel("min_update", &Kernels::min_update, [&](const Kernels& k) {
+        // ApplyFact shape: the selected facts in solve order. Restoring the
+        // touched rows afterwards is a scalar loop timed under every table.
+        double reduction = 0.0;
+        for (vq::FactId id : selected) {
+          auto scope = catalog.ScopeRows(id);
+          reduction += k.min_update(deviation.data(), scope.data(),
+                                    catalog.ScopeDevs(id).data(),
+                                    catalog.ScopeWeights(id).data(), scope.size());
+        }
+        for (uint32_t row : touched) deviation[row] = prior_dev[row];
+        Sink(reduction);
+      },
+      apply_blocks));
+  kernels.push_back(bench_kernel("argmax", &Kernels::argmax, [&](const Kernels& k) {
     Sink(static_cast<double>(k.argmax(utilities.data(), utilities.size())));
   }));
 
-  vq::TablePrinter kernel_printer(
-      {"Kernel", "Scalar (ns/block)", "Dispatched (ns/block)", "Speedup"});
+  vq::TablePrinter kernel_printer({"Kernel", "Table", "Variant", "ns/block",
+                                   "Speedup", "Min", "Max"});
   for (const KernelResult& result : kernels) {
-    char scalar_buf[32], dispatched_buf[32], speedup_buf[32];
-    std::snprintf(scalar_buf, sizeof(scalar_buf), "%.1f", result.scalar_ns_per_block);
-    std::snprintf(dispatched_buf, sizeof(dispatched_buf), "%.1f",
-                  result.dispatched_ns_per_block);
-    std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx", result.speedup);
-    kernel_printer.AddRow({result.name, scalar_buf, dispatched_buf, speedup_buf});
+    char buf[4][32];
+    std::snprintf(buf[0], sizeof(buf[0]), "%.1f", result.scalar_ns_per_block);
+    kernel_printer.AddRow({result.name, "scalar", "scalar", buf[0], "", "", ""});
+    for (const SlotResult& slot : result.tables) {
+      std::snprintf(buf[0], sizeof(buf[0]), "%.1f", slot.ns_per_block);
+      std::snprintf(buf[1], sizeof(buf[1]), "%.2fx", slot.speedup);
+      std::snprintf(buf[2], sizeof(buf[2]), "%.2fx", slot.speedup_min);
+      std::snprintf(buf[3], sizeof(buf[3]), "%.2fx", slot.speedup_max);
+      kernel_printer.AddRow(
+          {result.name, slot.table, slot.impl, buf[0], buf[1], buf[2], buf[3]});
+    }
   }
   kernel_printer.Print();
 
+  // The dispatched table's median speedup for one kernel (scalar: 1x).
   auto kernel_speedup = [&](const char* name) {
     for (const KernelResult& result : kernels) {
-      if (result.name == name) return result.speedup;
+      if (result.name != name) continue;
+      for (const SlotResult& slot : result.tables) {
+        if (slot.table == dispatched.name) return slot.speedup;
+      }
+      return 1.0;
     }
     return 0.0;
   };
 
   // ---- End-to-end greedy solve, scalar vs dispatched tables.
-  vq::GreedyOptions greedy_options;
-  greedy_options.pruning = vq::FactPruning::kOptimized;
   vq::simd::SetActiveForTesting(&scalar);
   vq::SummaryResult scalar_result = GreedySummary(evaluator, greedy_options);
   double greedy_scalar_us =
@@ -358,8 +447,7 @@ int main() {
               router_qps, baseline_qps, qps_delta_pct);
 
   // ---- Acceptance gates. The >=2x bars are an AVX2 promise (4-lane f64);
-  // 2-lane NEON tops out near 2x on memory-bound reductions, so on other
-  // vector dispatches only the equivalence and qps invariants gate.
+  // on other vector dispatches only the equivalence and qps invariants gate.
   bool avx2_dispatch = std::strcmp(dispatched.name, "avx2") == 0;
   bool ok = greedy_equivalent;
   if (vector_dispatch) {
@@ -380,17 +468,29 @@ int main() {
   report.Set("forced_scalar", vq::Json::Bool(vq::simd::ForcedScalar()));
   report.Set("instance_rows", vq::Json::Int(static_cast<int64_t>(n)));
   report.Set("num_facts", vq::Json::Int(static_cast<int64_t>(catalog.NumFacts())));
-  vq::Json kernel_json = vq::Json::Array();
+  std::vector<vq::Json> table_rows(vector_tables.size(), vq::Json::Array());
   for (const KernelResult& result : kernels) {
-    vq::Json entry = vq::Json::Object();
-    entry.Set("kernel", vq::Json::Str(result.name));
-    entry.Set("scalar_ns_per_block", vq::Json::Number(result.scalar_ns_per_block));
-    entry.Set("dispatched_ns_per_block",
-              vq::Json::Number(result.dispatched_ns_per_block));
-    entry.Set("speedup", vq::Json::Number(result.speedup));
-    kernel_json.Append(std::move(entry));
+    for (size_t t = 0; t < result.tables.size(); ++t) {
+      const SlotResult& slot = result.tables[t];
+      vq::Json slot_json = vq::Json::Object();
+      slot_json.Set("kernel", vq::Json::Str(result.name));
+      slot_json.Set("variant", vq::Json::Str(slot.impl));
+      slot_json.Set("scalar_ns_per_block",
+                    vq::Json::Number(result.scalar_ns_per_block));
+      slot_json.Set("ns_per_block", vq::Json::Number(slot.ns_per_block));
+      slot_json.Set("speedup", vq::Json::Number(slot.speedup));
+      slot_json.Set("speedup_min", vq::Json::Number(slot.speedup_min));
+      slot_json.Set("speedup_max", vq::Json::Number(slot.speedup_max));
+      table_rows[t].Append(std::move(slot_json));
+    }
   }
-  report.Set("kernels", std::move(kernel_json));
+  // Per vector table, every slot: which variant it holds and how that
+  // variant compares to scalar (median and min/max over kRounds rounds).
+  vq::Json tables_json = vq::Json::Object();
+  for (size_t t = 0; t < vector_tables.size(); ++t) {
+    tables_json.Set(vector_tables[t]->name, std::move(table_rows[t]));
+  }
+  report.Set("tables", std::move(tables_json));
   vq::Json end_to_end = vq::Json::Object();
   end_to_end.Set("greedy_scalar_us", vq::Json::Number(greedy_scalar_us));
   end_to_end.Set("greedy_dispatched_us", vq::Json::Number(greedy_dispatched_us));

@@ -200,11 +200,8 @@ void GallopIntersect(std::vector<uint32_t>* result, std::span<const uint32_t> li
 // multi-shard tables shard-order concatenation restores the global order.
 
 /// Galloping intersection over one shard, shortest shard-local list first.
-/// `driver_rows` (optional) receives the shard-local driver list length,
-/// the normalizer for this shard's ScanStats sample.
 ScanPartial ShardFilterPostings(const ShardIndex& shard,
-                                const PredicateSet& predicates,
-                                size_t* driver_rows = nullptr) {
+                                const PredicateSet& predicates) {
   ScanPartial partial{shard.ordinal(), shard.base(), {}};
   std::vector<size_t> order(predicates.size());
   std::iota(order.begin(), order.end(), 0);
@@ -214,7 +211,6 @@ ScanPartial ShardFilterPostings(const ShardIndex& shard,
   });
   std::span<const uint32_t> driver = shard.Postings(
       static_cast<size_t>(predicates[order[0]].dim), predicates[order[0]].value);
-  if (driver_rows != nullptr) *driver_rows = driver.size();
   partial.rows.assign(driver.begin(), driver.end());
   for (size_t i = 1; i < order.size() && !partial.rows.empty(); ++i) {
     const EqPredicate& p = predicates[order[i]];
@@ -261,8 +257,7 @@ ScanPartial ShardFilterColumnScan(const Table& table, const ShardIndex& shard,
 /// One shard's share of `plan`. kEmptyResult never reaches here (handled
 /// without touching shards).
 ScanPartial ExecuteShard(const Table& table, const ShardIndex& shard,
-                         const PredicateSet& predicates, ScanStrategy strategy,
-                         size_t* driver_rows = nullptr) {
+                         const PredicateSet& predicates, ScanStrategy strategy) {
   switch (strategy) {
     case ScanStrategy::kAllRows: {
       ScanPartial partial{shard.ordinal(), shard.base(), {}};
@@ -273,7 +268,7 @@ ScanPartial ExecuteShard(const Table& table, const ShardIndex& shard,
     case ScanStrategy::kEmptyResult:
       return ScanPartial{shard.ordinal(), shard.base(), {}};
     case ScanStrategy::kPostings:
-      return ShardFilterPostings(shard, predicates, driver_rows);
+      return ShardFilterPostings(shard, predicates);
     case ScanStrategy::kColumnScan:
       return ShardFilterColumnScan(table, shard, predicates);
   }
@@ -304,11 +299,9 @@ bool ShouldFanOut(const TableIndex& index, ThreadPool* pool) {
          pool->CurrentWorkerIndex() == ThreadPool::kNotAWorker;
 }
 
-/// Fans `run_shard(s)` for every shard across `pool` with shard->worker
-/// affinity hints, and blocks until THIS call's tasks finish (a private
-/// countdown, not pool Wait(): concurrent filters share the pool and must
-/// not wait on each other's tasks). Each completed task re-records which
-/// worker ran it as the next hint for that shard.
+/// Fans `run_shard(s)` for every shard across `pool` and blocks until THIS
+/// call's tasks finish (a private countdown, not pool Wait(): concurrent
+/// filters share the pool and must not wait on each other's tasks).
 void RunShardFanout(const TableIndex& index, ThreadPool* pool,
                     const std::function<void(size_t)>& run_shard) {
   size_t num_shards = index.num_shards();
@@ -318,23 +311,13 @@ void RunShardFanout(const TableIndex& index, ThreadPool* pool,
   size_t remaining = num_shards;  // guarded by `mutex` (GUARDED_BY is
                                   // member-only; locals are not annotatable)
   for (size_t s = 0; s < num_shards; ++s) {
-    auto task = [&, s] {
+    pool->Submit([&, s] {
       Stopwatch watch;
       run_shard(s);
       ShardHistogram(s)->Record(watch.ElapsedSeconds());
-      size_t worker = pool->CurrentWorkerIndex();
-      if (worker != ThreadPool::kNotAWorker) {
-        index.set_shard_last_worker(s, static_cast<uint32_t>(worker));
-      }
       MutexLock lock(mutex);
       if (--remaining == 0) done.NotifyOne();
-    };
-    uint32_t hint = index.shard_last_worker(s);
-    if (hint == TableIndex::kNoWorker) {
-      pool->Submit(std::move(task));
-    } else {
-      pool->SubmitHinted(hint, std::move(task));
-    }
+    });
   }
   MutexLock lock(mutex);
   while (remaining != 0) done.Wait(mutex);
@@ -342,8 +325,7 @@ void RunShardFanout(const TableIndex& index, ThreadPool* pool,
 
 /// Executes `plan` over every shard into partials: sequentially for
 /// single-shard tables (exactly the pre-shard code path), else fanned out
-/// across the pool. Parallel shard tasks additionally train their shard's
-/// own ScanStats from the observed per-shard cost.
+/// across the pool.
 ScanPartials ExecutePlanPartials(const Table& table,
                                  const PredicateSet& predicates,
                                  const ScanPlan& plan,
@@ -358,25 +340,8 @@ ScanPartials ExecutePlanPartials(const Table& table,
     }
     return partials;
   }
-  bool shard_stats = plan.strategy == ScanStrategy::kPostings ||
-                     plan.strategy == ScanStrategy::kColumnScan;
   RunShardFanout(index, pool, [&](size_t s) {
-    const ShardIndex& shard = index.shard(s);
-    Stopwatch watch;
-    size_t driver_rows = 0;
-    partials[s] =
-        ExecuteShard(table, shard, predicates, plan.strategy, &driver_rows);
-    if (!shard_stats) return;
-    double seconds = watch.ElapsedSeconds();
-    if (plan.strategy == ScanStrategy::kPostings) {
-      if (predicates.size() > 1) {
-        shard.scan_stats().RecordPostings(std::max<size_t>(driver_rows, 1),
-                                          seconds);
-      }
-    } else {
-      shard.scan_stats().RecordScan(std::max<uint32_t>(shard.num_rows(), 1),
-                                    seconds);
-    }
+    partials[s] = ExecuteShard(table, index.shard(s), predicates, plan.strategy);
   });
   return partials;
 }
@@ -570,14 +535,7 @@ std::vector<ScanPartials> PlannedFilterRowsMultiPartials(
     if (!ShouldFanOut(index, pool)) {
       for (size_t s = 0; s < index.num_shards(); ++s) scan_shard(s);
     } else {
-      RunShardFanout(index, pool, [&](size_t s) {
-        const ShardIndex& shard = index.shard(s);
-        Stopwatch shard_watch;
-        scan_shard(s);
-        shard.scan_stats().RecordScan(
-            std::max<size_t>(size_t{shard.num_rows()} * scan_sets.size(), 1),
-            shard_watch.ElapsedSeconds());
-      });
+      RunShardFanout(index, pool, scan_shard);
     }
     // The batch shares ONE pass: charge its per-row cost once, normalized
     // by the rows scanned (the planner compares per-set costs, and each

@@ -14,11 +14,12 @@
 // Since the sharded-storage refactor a filter executes PER SHARD: each shard
 // answers over its own posting lists (or its slice of the columns) into a
 // ScanPartial (relational/scan_partial.h), and multi-shard tables fan the
-// shard tasks across the scan pool (util/thread_pool.h) with shard->worker
-// affinity hints before merging the partials in shard order -- which keeps
-// results bit-identical to the single-shard path
-// (tests/relational/sharded_scan_test.cc property-tests this across shard
-// counts).
+// shard tasks across the scan pool (util/thread_pool.h) before merging the
+// partials in shard order -- which keeps results bit-identical to the
+// single-shard path (tests/relational/sharded_scan_test.cc property-tests
+// this across shard counts). A caller that is itself a worker of the pool
+// runs its shards inline instead: a nested fan-out could block every worker
+// on tasks queued behind it.
 #ifndef VQ_RELATIONAL_SCAN_PLANNER_H_
 #define VQ_RELATIONAL_SCAN_PLANNER_H_
 

@@ -62,13 +62,6 @@ TableIndex TableIndex::Build(const Table& table) {
     index.merged_sums_[d].Assign(std::move(sums));
   }
 
-  index.last_worker_ =
-      std::make_unique<std::atomic<uint32_t>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    // relaxed: affinity hints; a stale value only costs locality.
-    index.last_worker_[s].store(kNoWorker, std::memory_order_relaxed);
-  }
-
   // Builds are rare (registration, first lazy warm) but expensive and
   // latency-visible when they land on a serving path; both instruments sit
   // in the process-global registry because Build is a static factory.
@@ -88,8 +81,7 @@ TableIndex TableIndex::FromParts(size_t num_rows, size_t num_targets,
   index.num_rows_ = num_rows;
   index.num_targets_ = num_targets;
   index.shards_ = std::move(shards);
-  size_t num_shards = index.shards_.size();
-  for (size_t s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < index.shards_.size(); ++s) {
     index.shards_[s].ordinal_ = static_cast<uint32_t>(s);
   }
   index.merged_counts_.resize(merged.size());
@@ -97,11 +89,6 @@ TableIndex TableIndex::FromParts(size_t num_rows, size_t num_targets,
   for (size_t d = 0; d < merged.size(); ++d) {
     index.merged_counts_[d] = ColumnStorage<uint32_t>::View(merged[d].counts);
     index.merged_sums_[d] = ColumnStorage<double>::View(merged[d].sums);
-  }
-  index.last_worker_ = std::make_unique<std::atomic<uint32_t>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    // relaxed: affinity hints; a stale value only costs locality.
-    index.last_worker_[s].store(kNoWorker, std::memory_order_relaxed);
   }
   return index;
 }
@@ -111,7 +98,6 @@ size_t TableIndex::EstimateBytes() const {
   for (const ShardIndex& shard : shards_) bytes += shard.EstimateBytes();
   for (const auto& counts : merged_counts_) bytes += counts.CapacityBytes();
   for (const auto& sums : merged_sums_) bytes += sums.CapacityBytes();
-  bytes += shards_.size() * sizeof(std::atomic<uint32_t>);
   bytes += sizeof(ScanStats);
   return bytes;
 }

@@ -13,10 +13,6 @@
 #define VQ_SIMD_X86 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#define VQ_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
 
 namespace vq {
 namespace simd {
@@ -349,34 +345,6 @@ VQ_AVX2 double MinUpdateAvx2(double* dense, const uint32_t* rows,
   return reduction;
 }
 
-VQ_AVX2 double MaskedSingleFactAvx2(double value, const double* targets,
-                                    const double* weights,
-                                    const double* prior_dev_weighted,
-                                    uint64_t mask) {
-  if (mask == 0) return 0.0;
-  // Same nibble expansion as MaskedSum64Avx2 (and the same whole-block
-  // readability requirement); each selected lane contributes the smaller of
-  // its weighted fact deviation and its precomputed weighted prior
-  // deviation.
-  const __m256i kBitSelect = _mm256_set_epi64x(8, 4, 2, 1);
-  const __m256d vvalue = _mm256_set1_pd(value);
-  __m256d acc = _mm256_setzero_pd();
-  for (int i = 0; i < 64; i += 4) {
-    uint64_t nibble = (mask >> i) & 0xF;
-    if (nibble == 0) continue;
-    __m256i sel = _mm256_and_si256(
-        _mm256_set1_epi64x(static_cast<long long>(nibble)), kBitSelect);
-    __m256d lane_mask = _mm256_castsi256_pd(_mm256_cmpeq_epi64(sel, kBitSelect));
-    __m256d fact_dev = _mm256_mul_pd(
-        Abs(_mm256_sub_pd(vvalue, _mm256_loadu_pd(targets + i))),
-        _mm256_loadu_pd(weights + i));
-    __m256d contrib =
-        _mm256_min_pd(fact_dev, _mm256_loadu_pd(prior_dev_weighted + i));
-    acc = _mm256_add_pd(acc, _mm256_and_pd(lane_mask, contrib));
-  }
-  return HorizontalSum(acc);
-}
-
 VQ_AVX2 size_t ArgMaxAvx2(const double* values, size_t n) {
   if (n < 8) return ArgMaxScalar(values, n);
   __m256d best = _mm256_loadu_pd(values);
@@ -418,84 +386,30 @@ VQ_AVX2 size_t ArgMaxAvx2(const double* values, size_t n) {
 
 const Kernels kAvx2Kernels = {
     "avx2",            OrPopcountAvx2,     MaskedSum64Avx2,
-    MaskedSingleFactAvx2,
+    MaskedSingleFactScalar,
     WeightedSumAvx2,   WeightedAbsDevAvx2, PositiveGainAvx2,
     GatherWeightedSumAvx2, GatherPositiveGainAvx2,
     MinUpdateAvx2,     ArgMaxAvx2,
 };
 
-#endif  // VQ_SIMD_X86
-
 // --------------------------------------------------------------- AVX-512
-// Eight-lane kernels guarded by __builtin_cpu_supports("avx512f") (plus
-// popcnt); everything below sticks to the F foundation subset -- 512-bit
-// floating-point AND/ANDNOT (a DQ extension) is spelled through the epi64
-// forms, and no VL compactions are used. The big structural win over avx2:
-// fault-suppressing masked loads (_mm512_maskz_loadu_pd) make every tail and
-// bitset mask a first-class lane mask, so these kernels never read past the
-// live data -- no scalar tail loops, and no caller-side padding requirement.
-#if VQ_SIMD_X86
+// Eight-lane kernels, kept only for the slots where they measurably beat
+// the avx2 variant (bench/simd_kernels.cpp records every table's slots;
+// see BENCH_simd.json "tables"): the masked block sum and argmax. The
+// table's other slots borrow the avx2 or scalar functions, so dispatch to
+// it also requires every avx2 feature (SupportsAvx512). Everything below
+// sticks to the F foundation subset. The masked block sum's
+// fault-suppressing masked loads (_mm512_maskz_loadu_pd) make each bitset
+// byte a first-class lane mask, so it never touches unselected rows.
 
-// GCC's avx512fintrin.h builds even plain intrinsics (_mm512_max_pd, the
-// gathers, the reduce helpers) on _mm512_undefined_pd(), which
-// -W(maybe-)uninitialized flags once they inline into user code. The
-// Gather4-style explicit-zero workaround used for avx2 cannot cover them
-// all, so the whole section silences just those two warnings.
+// GCC's avx512fintrin.h builds even plain intrinsics (the reduce helpers)
+// on _mm512_undefined_pd(), which -W(maybe-)uninitialized flags once they
+// inline into user code, so the section silences just those two warnings.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-#define VQ_AVX512 __attribute__((target("avx512f,popcnt")))
-
-VQ_AVX512 inline __m512d Abs512(__m512d v) {
-  // No _mm512_andnot_pd in AVX512F (that is DQ); same bit trick via epi64.
-  return _mm512_castsi512_pd(_mm512_andnot_si512(
-      _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ull)),
-      _mm512_castpd_si512(v)));
-}
-
-/// Tail mask for the final `rem` (< 8) lanes.
-VQ_AVX512 inline __mmask8 TailMask(size_t rem) {
-  return static_cast<__mmask8>((1u << rem) - 1u);
-}
-
-/// Masked gather with the index tail staged through a zeroed stack buffer:
-/// loading 8 indices when only `rem` are live would read past the row list,
-/// and AVX-512F has no maskz 256-bit integer load (that is VL). The gather
-/// itself is masked, so the zero-filled index lanes are never dereferenced.
-VQ_AVX512 inline __m512d GatherTail(const double* base, const uint32_t* rows,
-                                    size_t rem, __mmask8 m) {
-  alignas(32) uint32_t idx[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t k = 0; k < rem; ++k) idx[k] = rows[k];
-  return _mm512_mask_i32gather_pd(
-      _mm512_setzero_pd(), m,
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
-}
-
-VQ_AVX512 uint64_t OrPopcountAvx512(const uint64_t* const* sets, size_t num_sets,
-                                    size_t num_words, uint64_t* covered) {
-  uint64_t total = 0;
-  size_t w = 0;
-  if (num_sets > 0) {
-    for (; w + 8 <= num_words; w += 8) {
-      __m512i acc = _mm512_loadu_si512(sets[0] + w);
-      for (size_t s = 1; s < num_sets; ++s) {
-        acc = _mm512_or_si512(acc, _mm512_loadu_si512(sets[s] + w));
-      }
-      _mm512_storeu_si512(covered + w, acc);
-      for (int i = 0; i < 8; ++i) {
-        total += static_cast<uint64_t>(_mm_popcnt_u64(covered[w + i]));
-      }
-    }
-  }
-  for (; w < num_words; ++w) {
-    uint64_t acc = 0;
-    for (size_t s = 0; s < num_sets; ++s) acc |= sets[s][w];
-    covered[w] = acc;
-    total += static_cast<uint64_t>(_mm_popcnt_u64(acc));
-  }
-  return total;
-}
+#define VQ_AVX512 __attribute__((target("avx512f")))
 
 VQ_AVX512 double MaskedSum64Avx512(const double* block, uint64_t mask) {
   if (mask == 0) return 0.0;
@@ -508,172 +422,6 @@ VQ_AVX512 double MaskedSum64Avx512(const double* block, uint64_t mask) {
     acc = _mm512_add_pd(acc, _mm512_maskz_loadu_pd(m, block + i));
   }
   return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double MaskedSingleFactAvx512(double value, const double* targets,
-                                        const double* weights,
-                                        const double* prior_dev_weighted,
-                                        uint64_t mask) {
-  if (mask == 0) return 0.0;
-  const __m512d vvalue = _mm512_set1_pd(value);
-  __m512d acc = _mm512_setzero_pd();
-  for (int i = 0; i < 64; i += 8) {
-    __mmask8 m = static_cast<__mmask8>((mask >> i) & 0xFF);
-    if (m == 0) continue;
-    __m512d fact_dev = _mm512_mul_pd(
-        Abs512(_mm512_sub_pd(vvalue, _mm512_maskz_loadu_pd(m, targets + i))),
-        _mm512_maskz_loadu_pd(m, weights + i));
-    // maskz min: unselected lanes contribute exactly 0 regardless of what
-    // the (zeroed) masked loads produced above.
-    acc = _mm512_add_pd(
-        acc, _mm512_maskz_min_pd(
-                 m, fact_dev, _mm512_maskz_loadu_pd(m, prior_dev_weighted + i)));
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double WeightedSumAvx512(const double* values, const double* weights,
-                                   size_t n) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i),
-                           _mm512_loadu_pd(weights + i), acc0);
-    acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i + 8),
-                           _mm512_loadu_pd(weights + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i),
-                           _mm512_loadu_pd(weights + i), acc0);
-  }
-  if (i < n) {
-    __mmask8 m = TailMask(n - i);
-    acc0 = _mm512_fmadd_pd(_mm512_maskz_loadu_pd(m, values + i),
-                           _mm512_maskz_loadu_pd(m, weights + i), acc0);
-  }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-}
-
-VQ_AVX512 double WeightedAbsDevAvx512(double center, const double* values,
-                                      const double* weights, size_t n) {
-  const __m512d vcenter = _mm512_set1_pd(center);
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m512d d0 = Abs512(_mm512_sub_pd(vcenter, _mm512_loadu_pd(values + i)));
-    __m512d d1 = Abs512(_mm512_sub_pd(vcenter, _mm512_loadu_pd(values + i + 8)));
-    acc0 = _mm512_fmadd_pd(d0, _mm512_loadu_pd(weights + i), acc0);
-    acc1 = _mm512_fmadd_pd(d1, _mm512_loadu_pd(weights + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    __m512d d = Abs512(_mm512_sub_pd(vcenter, _mm512_loadu_pd(values + i)));
-    acc0 = _mm512_fmadd_pd(d, _mm512_loadu_pd(weights + i), acc0);
-  }
-  if (i < n) {
-    __mmask8 m = TailMask(n - i);
-    __m512d d = Abs512(_mm512_sub_pd(vcenter, _mm512_maskz_loadu_pd(m, values + i)));
-    // The masked weight lanes are zero, so the |center - 0| garbage in the
-    // unselected deviation lanes multiplies away.
-    acc0 = _mm512_fmadd_pd(d, _mm512_maskz_loadu_pd(m, weights + i), acc0);
-  }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-}
-
-VQ_AVX512 double PositiveGainAvx512(const double* current, const double* devs,
-                                    const double* weights, size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d acc = _mm512_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_loadu_pd(current + k), _mm512_loadu_pd(devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_loadu_pd(weights + k), acc);
-  }
-  if (k < n) {
-    __mmask8 m = TailMask(n - k);
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(m, current + k),
-                      _mm512_maskz_loadu_pd(m, devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_maskz_loadu_pd(m, weights + k), acc);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double GatherWeightedSumAvx512(const double* dense,
-                                         const uint32_t* rows,
-                                         const double* weights, size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
-    acc = _mm512_fmadd_pd(_mm512_i32gather_pd(idx, dense, 8),
-                          _mm512_loadu_pd(weights + k), acc);
-  }
-  if (k < n) {
-    __mmask8 m = TailMask(n - k);
-    acc = _mm512_fmadd_pd(GatherTail(dense, rows + k, n - k, m),
-                          _mm512_maskz_loadu_pd(m, weights + k), acc);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double GatherPositiveGainAvx512(const double* dense,
-                                          const uint32_t* rows,
-                                          const double* devs,
-                                          const double* weights, size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d acc = _mm512_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_i32gather_pd(idx, dense, 8),
-                      _mm512_loadu_pd(devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_loadu_pd(weights + k), acc);
-  }
-  if (k < n) {
-    __mmask8 m = TailMask(n - k);
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(GatherTail(dense, rows + k, n - k, m),
-                      _mm512_maskz_loadu_pd(m, devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_maskz_loadu_pd(m, weights + k), acc);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double MinUpdateAvx512(double* dense, const uint32_t* rows,
-                                 const double* devs, const double* weights,
-                                 size_t n) {
-  __m512d acc = _mm512_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
-    __m512d current = _mm512_i32gather_pd(idx, dense, 8);
-    __m512d dv = _mm512_loadu_pd(devs + k);
-    __mmask8 lowered = _mm512_cmp_pd_mask(dv, current, _CMP_LT_OQ);
-    acc = _mm512_add_pd(
-        acc, _mm512_maskz_mul_pd(lowered, _mm512_sub_pd(current, dv),
-                                 _mm512_loadu_pd(weights + k)));
-    // Real scatter (unlike avx2's lane-by-lane stores), masked to the
-    // lowered rows. Distinct CSR indices: the gather above never observes a
-    // row this batch also writes.
-    _mm512_mask_i32scatter_pd(dense, lowered, idx, dv, 8);
-  }
-  double reduction = _mm512_reduce_add_pd(acc);
-  for (; k < n; ++k) {
-    double current = dense[rows[k]];
-    if (devs[k] < current) {
-      reduction += (current - devs[k]) * weights[k];
-      dense[rows[k]] = devs[k];
-    }
-  }
-  return reduction;
 }
 
 VQ_AVX512 size_t ArgMaxAvx512(const double* values, size_t n) {
@@ -717,120 +465,16 @@ VQ_AVX512 size_t ArgMaxAvx512(const double* values, size_t n) {
 }
 
 const Kernels kAvx512Kernels = {
-    "avx512",            OrPopcountAvx512,     MaskedSum64Avx512,
-    MaskedSingleFactAvx512,
-    WeightedSumAvx512,   WeightedAbsDevAvx512, PositiveGainAvx512,
-    GatherWeightedSumAvx512, GatherPositiveGainAvx512,
-    MinUpdateAvx512,     ArgMaxAvx512,
+    "avx512",          OrPopcountAvx2,     MaskedSum64Avx512,
+    MaskedSingleFactScalar,
+    WeightedSumAvx2,   WeightedAbsDevAvx2, PositiveGainAvx2,
+    GatherWeightedSumAvx2, GatherPositiveGainAvx2,
+    MinUpdateAvx2,     ArgMaxAvx512,
 };
 
 #pragma GCC diagnostic pop
 
 #endif  // VQ_SIMD_X86
-
-// ----------------------------------------------------------------- NEON
-// aarch64 ships NEON in the baseline, so no target attributes or CPU probe
-// are needed. Two-lane f64 kernels cover the dense reductions; the
-// gather-shaped kernels keep the scalar loops (NEON has no gather, and the
-// indexed loads dominate those kernels' cost).
-#if VQ_SIMD_NEON
-
-inline uint64x2_t LaneMask2(uint64_t two_bits) {
-  const uint64x2_t kBitSelect = {1, 2};
-  uint64x2_t sel = vandq_u64(vdupq_n_u64(two_bits), kBitSelect);
-  return vceqq_u64(sel, kBitSelect);
-}
-
-uint64_t OrPopcountNeon(const uint64_t* const* sets, size_t num_sets,
-                        size_t num_words, uint64_t* covered) {
-  uint64_t total = 0;
-  size_t w = 0;
-  if (num_sets > 0) {
-    for (; w + 2 <= num_words; w += 2) {
-      uint64x2_t acc = vld1q_u64(sets[0] + w);
-      for (size_t s = 1; s < num_sets; ++s) {
-        acc = vorrq_u64(acc, vld1q_u64(sets[s] + w));
-      }
-      vst1q_u64(covered + w, acc);
-      total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(acc)));
-    }
-  }
-  for (; w < num_words; ++w) {
-    uint64_t acc = 0;
-    for (size_t s = 0; s < num_sets; ++s) acc |= sets[s][w];
-    covered[w] = acc;
-    total += static_cast<uint64_t>(std::popcount(acc));
-  }
-  return total;
-}
-
-double MaskedSum64Neon(const double* block, uint64_t mask) {
-  if (mask == 0) return 0.0;
-  float64x2_t acc = vdupq_n_f64(0.0);
-  for (int i = 0; i < 64; i += 2) {
-    uint64_t pair = (mask >> i) & 0x3;
-    if (pair == 0) continue;
-    float64x2_t lane = vreinterpretq_f64_u64(
-        vandq_u64(LaneMask2(pair), vreinterpretq_u64_f64(vld1q_f64(block + i))));
-    acc = vaddq_f64(acc, lane);
-  }
-  return vaddvq_f64(acc);
-}
-
-double WeightedSumNeon(const double* values, const double* weights, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vfmaq_f64(acc0, vld1q_f64(values + i), vld1q_f64(weights + i));
-    acc1 = vfmaq_f64(acc1, vld1q_f64(values + i + 2), vld1q_f64(weights + i + 2));
-  }
-  double sum = vaddvq_f64(vaddq_f64(acc0, acc1));
-  for (; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
-}
-
-double PositiveGainNeon(const double* current, const double* devs,
-                        const double* weights, size_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    float64x2_t gain =
-        vmaxq_f64(vsubq_f64(vld1q_f64(current + k), vld1q_f64(devs + k)), zero);
-    acc = vfmaq_f64(acc, gain, vld1q_f64(weights + k));
-  }
-  double sum = vaddvq_f64(acc);
-  for (; k < n; ++k) {
-    double gain = current[k] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
-  }
-  return sum;
-}
-
-double WeightedAbsDevNeon(double center, const double* values,
-                          const double* weights, size_t n) {
-  const float64x2_t vcenter = vdupq_n_f64(center);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    float64x2_t dev = vabsq_f64(vsubq_f64(vcenter, vld1q_f64(values + i)));
-    acc = vfmaq_f64(acc, dev, vld1q_f64(weights + i));
-  }
-  double sum = vaddvq_f64(acc);
-  for (; i < n; ++i) sum += std::fabs(center - values[i]) * weights[i];
-  return sum;
-}
-
-const Kernels kNeonKernels = {
-    "neon",            OrPopcountNeon,     MaskedSum64Neon,
-    MaskedSingleFactScalar,
-    WeightedSumNeon,   WeightedAbsDevNeon, PositiveGainNeon,
-    GatherWeightedSumScalar, GatherPositiveGainScalar,
-    MinUpdateScalar,   ArgMaxScalar,
-};
-
-#endif  // VQ_SIMD_NEON
 
 // -------------------------------------------------------------- dispatch
 
@@ -840,16 +484,17 @@ bool EnvForceScalar() {
 }
 
 #if VQ_SIMD_X86
-// Probe EVERY feature a table's target attribute names: a CPU model (or
+// Probe EVERY feature a table's target attributes name: a CPU model (or
 // emulation mask) can expose avx2 while hiding fma/popcnt, and handing out
 // the table anyway would SIGILL on the first kernel call.
-bool SupportsAvx512() {
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("popcnt");
-}
-
 bool SupportsAvx2() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
          __builtin_cpu_supports("popcnt");
+}
+
+// The avx512 table borrows avx2 kernels, so it needs their features too.
+bool SupportsAvx512() {
+  return __builtin_cpu_supports("avx512f") && SupportsAvx2();
 }
 #endif
 
@@ -858,8 +503,6 @@ const Kernels* BestSupported() {
 #if VQ_SIMD_X86
   if (SupportsAvx512()) return &kAvx512Kernels;
   if (SupportsAvx2()) return &kAvx2Kernels;
-#elif VQ_SIMD_NEON
-  return &kNeonKernels;
 #endif
   return &kScalarKernels;
 }
@@ -899,8 +542,6 @@ const std::vector<const Kernels*>& AllImplementations() {
 #if VQ_SIMD_X86
     if (SupportsAvx2()) tables.push_back(&kAvx2Kernels);
     if (SupportsAvx512()) tables.push_back(&kAvx512Kernels);
-#elif VQ_SIMD_NEON
-    tables.push_back(&kNeonKernels);
 #endif
     return tables;
   }();

@@ -6,23 +6,25 @@
 // weighted prior deviations under a row mask, accumulating weighted
 // (positive) deviation gains over CSR scope-row lists, and picking the best
 // fact from a utility array. This header exposes exactly those primitives as
-// a table of function pointers with three implementations:
+// a table of function pointers with three tables:
 //
 //   scalar  -- straight loops, bit-identical to the seed code paths; always
 //              available and the correctness oracle for the others.
 //   avx2    -- x86-64 AVX2(+FMA/POPCNT) four-lane kernels, compiled with
 //              per-function target attributes so the library itself still
 //              builds for a generic x86-64 baseline (VQ_MARCH_NATIVE off).
-//   avx512  -- x86-64 AVX-512F eight-lane kernels. Fault-suppressing masked
-//              loads handle every tail and bitset mask directly, so unlike
-//              avx2 these kernels never read past the live data (see the
-//              masked_sum64 padding note below).
-//   neon    -- aarch64 two-lane kernels for the dense reductions (the
-//              gather-shaped kernels reuse the scalar loops: NEON has no
-//              gather, and the fused compute dominates only on x86).
+//   avx512  -- x86-64 AVX-512F eight-lane kernels for masked_sum64 and
+//              argmax; its other slots borrow the avx2 functions, which
+//              measure as fast or faster there.
+//
+// A slot holds a vector variant only while bench/simd_kernels.cpp measures
+// it beating the alternatives (BENCH_simd.json "tables" records each
+// table's slot composition and speedups). masked_single_fact loses to the
+// scalar loop at the sparse masks real fact scopes produce, so every table
+// holds the scalar function there.
 //
 // Dispatch runs ONCE, at the first call of Active(): the CPU is probed
-// (__builtin_cpu_supports on x86), the environment override VQ_FORCE_SCALAR=1
+// (__builtin_cpu_supports), the environment override VQ_FORCE_SCALAR=1
 // is honored, and the chosen table is latched for the process lifetime, so
 // the hot paths pay one pointer indirection and no per-call feature checks.
 // Building with -DVQ_FORCE_SCALAR=ON (CMake option) pins the scalar table at
@@ -47,7 +49,7 @@ namespace simd {
 /// never exactly. Integer kernels (or_popcount, argmax) and the values
 /// stored by min_update are bit-exact.
 struct Kernels {
-  const char* name;  ///< "scalar", "avx2", "avx512" or "neon"
+  const char* name;  ///< "scalar", "avx2" or "avx512"
 
   /// covered[w] = OR over the `num_sets` bitsets of sets[s][w], for w in
   /// [0, num_words); returns the total popcount of `covered`. `sets` may be
@@ -131,7 +133,7 @@ const Kernels& Scalar();
 /// implementation against the scalar oracle.
 const std::vector<const Kernels*>& AllImplementations();
 
-/// Lookup by name ("scalar", "avx2", "avx512", "neon"); nullptr when that
+/// Lookup by name ("scalar", "avx2", "avx512"); nullptr when that
 /// table is not runnable in this build/CPU.
 const Kernels* ByName(const char* name);
 

@@ -18,7 +18,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  hinted_.resize(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -43,19 +42,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.NotifyOne();
 }
 
-void ThreadPool::SubmitHinted(size_t hint, std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    hinted_[hint % hinted_.size()].push_back(std::move(task));
-    ++hinted_total_;
-    ++in_flight_;
-  }
-  // One wake suffices even if it lands on the "wrong" worker: any woken
-  // worker that finds its own queues empty steals hinted work (PopTask), so
-  // the task cannot strand while a worker sleeps.
-  work_available_.NotifyOne();
-}
-
 size_t ThreadPool::PendingTasks() const {
   MutexLock lock(mutex_);
   return in_flight_;
@@ -63,7 +49,7 @@ size_t ThreadPool::PendingTasks() const {
 
 size_t ThreadPool::QueuedTasks() const {
   MutexLock lock(mutex_);
-  return queue_.size() + hinted_total_;
+  return queue_.size();
 }
 
 size_t ThreadPool::CurrentWorkerIndex() const {
@@ -75,37 +61,6 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0) all_done_.Wait(mutex_);
 }
 
-bool ThreadPool::PopTask(size_t index, std::function<void()>* task) {
-  // Own hinted tasks first (the affinity contract), then the shared FIFO,
-  // then steal the oldest hinted task of the nearest busy neighbor so a
-  // saturated hinted worker never serializes the pool.
-  std::deque<std::function<void()>>& own = hinted_[index];
-  if (!own.empty()) {
-    *task = std::move(own.front());
-    own.pop_front();
-    --hinted_total_;
-    return true;
-  }
-  if (!queue_.empty()) {
-    *task = std::move(queue_.front());
-    queue_.pop();
-    return true;
-  }
-  if (hinted_total_ > 0) {
-    for (size_t step = 1; step < hinted_.size(); ++step) {
-      std::deque<std::function<void()>>& other =
-          hinted_[(index + step) % hinted_.size()];
-      if (!other.empty()) {
-        *task = std::move(other.front());
-        other.pop_front();
-        --hinted_total_;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 void ThreadPool::WorkerLoop(size_t index) {
   tl_worker_pool = this;
   tl_worker_index = index;
@@ -113,13 +68,11 @@ void ThreadPool::WorkerLoop(size_t index) {
     std::function<void()> task;
     {
       MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty() && hinted_total_ == 0) {
-        work_available_.Wait(mutex_);
-      }
-      if (!PopTask(index, &task)) {
-        if (shutting_down_) return;
-        continue;
-      }
+      while (!shutting_down_ && queue_.empty()) work_available_.Wait(mutex_);
+      // Drain before exiting: shutdown still runs every queued task.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
     {

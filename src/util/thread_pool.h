@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -20,15 +19,8 @@
 
 namespace vq {
 
-/// \brief Fixed-size thread pool: a shared FIFO queue plus one small hinted
-/// queue per worker.
-///
-/// Submit() is the historical any-worker path. SubmitHinted(hint, ...) asks
-/// for the task to run on worker `hint % NumThreads()` -- the scan planner
-/// uses it to re-run a shard on the worker that scanned it last, keeping the
-/// shard's pages hot in that worker's cache. The hint is a preference, not a guarantee: idle workers
-/// steal hinted tasks rather than sleep, so a busy hinted worker can never
-/// strand work.
+/// \brief Fixed-size thread pool over one shared FIFO queue: workers pick
+/// tasks up in submission order.
 class ThreadPool {
  public:
   /// `num_threads` == 0 picks hardware concurrency (at least 1).
@@ -40,10 +32,6 @@ class ThreadPool {
 
   /// Enqueues a task; tasks must not throw.
   void Submit(std::function<void()> task);
-
-  /// Enqueues a task preferring worker `hint % NumThreads()` (see class
-  /// comment). Tasks must not throw.
-  void SubmitHinted(size_t hint, std::function<void()> task);
 
   /// Enqueues a callable and returns a future for its result. Unlike
   /// Submit(), the callable may throw: the exception is captured in the
@@ -67,33 +55,27 @@ class ThreadPool {
   /// the value may change before the caller uses it.
   size_t PendingTasks() const;
 
-  /// Tasks waiting in the shared or hinted queues (not yet picked up by a
-  /// worker). Snapshot only; PendingTasks() - QueuedTasks() approximates the
-  /// number of tasks currently executing. Exported as a gauge so shedding
-  /// decisions are observable.
+  /// Tasks waiting in the queue (not yet picked up by a worker). Snapshot
+  /// only; PendingTasks() - QueuedTasks() approximates the number of tasks
+  /// currently executing. Exported as a gauge so shedding decisions are
+  /// observable.
   size_t QueuedTasks() const;
 
   /// Sentinel for CurrentWorkerIndex() on a non-worker thread.
   static constexpr size_t kNotAWorker = static_cast<size_t>(-1);
 
   /// Index of the calling thread within THIS pool's workers, or kNotAWorker
-  /// when the caller is not one of them. The scan planner records it as the
-  /// shard->worker affinity hint for the next scan of the same shard.
+  /// when the caller is not one of them. Fan-out callers (the scan planner,
+  /// the parallel index build) check it to run inline instead of blocking a
+  /// worker on tasks queued behind it.
   size_t CurrentWorkerIndex() const;
 
  private:
   void WorkerLoop(size_t index);
-  /// Pops the next task for worker `index` under mutex_: own hinted queue
-  /// first, then the shared queue, then steal the oldest hinted task of
-  /// another worker. Returns false when nothing is queued.
-  bool PopTask(size_t index, std::function<void()>* task) REQUIRES(mutex_);
 
   std::vector<std::thread> workers_;
   mutable Mutex mutex_;
   std::queue<std::function<void()>> queue_ GUARDED_BY(mutex_);
-  /// Per-worker hinted tasks. hinted_total_ keeps the wait predicate O(1).
-  std::vector<std::deque<std::function<void()>>> hinted_ GUARDED_BY(mutex_);
-  size_t hinted_total_ GUARDED_BY(mutex_) = 0;
   CondVar work_available_;
   CondVar all_done_;
   size_t in_flight_ GUARDED_BY(mutex_) = 0;

@@ -9,9 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "relational/predicate.h"
 #include "relational/scan_partial.h"
 #include "storage/table.h"
@@ -80,6 +85,13 @@ std::vector<size_t> ShardSizeConfigs(size_t num_rows) {
   return configs;
 }
 
+/// Shard tasks dispatched to a pool so far, across every parallel fan-out.
+uint64_t ShardFanouts() {
+  return obs::MetricsRegistry::Global()
+      .GetCounter("vq_scan_shard_fanout_total")
+      ->Value();
+}
+
 /// Validates the ScanPartial contract against the table's shard layout and
 /// returns the merged global ids.
 std::vector<uint32_t> CheckedMerge(const Table& table, const ScanPartials& partials) {
@@ -144,6 +156,9 @@ TEST(ShardedScanPropertyTest, ParallelFanoutBitIdentical) {
     Table table = RandomTable(&rng, num_rows, 3, 10);
     for (size_t shard_rows : ShardSizeConfigs(num_rows)) {
       table.SetTargetShardRows(shard_rows);
+      size_t num_shards = table.index().num_shards();
+      uint64_t fanouts_before = ShardFanouts();
+      uint64_t expected_fanouts = 0;
       for (int q = 0; q < 6; ++q) {
         PredicateSet predicates = RandomPredicates(&rng, table, 3);
         std::vector<uint32_t> expected = NaiveFilterRows(table, predicates);
@@ -153,15 +168,16 @@ TEST(ShardedScanPropertyTest, ParallelFanoutBitIdentical) {
         EXPECT_EQ(CheckedMerge(table, PlannedFilterRowsPartials(table, predicates,
                                                                 options)),
                   expected);
+        // Both calls fan out every shard unless the plan needs none.
+        if (num_shards > 1 &&
+            PlanScan(table, predicates).strategy != ScanStrategy::kEmptyResult) {
+          expected_fanouts += 2 * num_shards;
+        }
       }
-      // After a parallel scan every affinity hint is either untouched or a
-      // real worker index of the injected pool.
-      const TableIndex& index = table.index();
-      for (size_t s = 0; s < index.num_shards(); ++s) {
-        uint32_t worker = index.shard_last_worker(s);
-        EXPECT_TRUE(worker == TableIndex::kNoWorker || worker < pool.NumThreads())
-            << "shard " << s << " worker " << worker;
-      }
+      // Multi-shard filters ran every shard as a task on the injected pool;
+      // a single-shard table never touches it.
+      EXPECT_EQ(ShardFanouts() - fanouts_before, expected_fanouts)
+          << num_shards << " shards";
     }
   }
 }
@@ -200,6 +216,61 @@ TEST(ShardedScanPropertyTest, MultiFilterBitIdenticalAcrossShardCounts) {
       }
     }
   }
+}
+
+/// The nested fan-out guard: a filter that runs ON a worker of the pool it
+/// would fan out to runs its shards inline. With every worker of a 2-thread
+/// pool inside such a filter, fanned-out shard tasks would queue behind the
+/// callers with no free worker to start them, and no call would return.
+TEST(ShardedScanTest, FiltersOnEverySaturatedPoolWorkerFinish) {
+  Rng rng(5150);
+  Table table = RandomTable(&rng, 600, 3, 6);
+  table.SetTargetShardRows(64);  // 10 shards, ragged last
+  ASSERT_GT(table.index().num_shards(), 1u);
+  std::vector<PredicateSet> queries = {{EqPredicate{0, 0}},
+                                       {EqPredicate{0, 0}, EqPredicate{1, 0}}};
+  for (auto& predicates : queries) ASSERT_TRUE(NormalizePredicates(&predicates).ok());
+  for (int q = 0; q < 4; ++q) queries.push_back(RandomPredicates(&rng, table, 3));
+  std::vector<const PredicateSet*> batch;
+  std::vector<std::vector<uint32_t>> expected;
+  for (const PredicateSet& predicates : queries) {
+    batch.push_back(&predicates);
+    expected.push_back(NaiveFilterRows(table, predicates));
+  }
+
+  // Leaked if a call hangs: a pool whose workers never return cannot join.
+  auto* pool = new ThreadPool(2);
+  std::atomic<size_t> started{0};
+  std::vector<std::future<bool>> callers;
+  for (size_t w = 0; w < pool->NumThreads(); ++w) {
+    callers.push_back(pool->SubmitTask([&] {
+      // Wait until every worker is inside a task: the pool is saturated.
+      started.fetch_add(1);
+      while (started.load() < pool->NumThreads()) std::this_thread::yield();
+      bool equal = true;
+      for (bool force_scan : {false, true}) {  // postings plans, then scans
+        ScanPlannerOptions options;
+        options.pool = pool;
+        options.force_scan = force_scan;
+        for (size_t q = 0; q < queries.size(); ++q) {
+          equal = equal && PlannedFilterRows(table, queries[q], options) == expected[q];
+        }
+        equal = equal && PlannedFilterRowsMulti(table, batch, options) == expected;
+      }
+      return equal;
+    }));
+  }
+  bool finished = true;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (auto& caller : callers) {
+    if (caller.wait_until(deadline) != std::future_status::ready) {
+      finished = false;
+      continue;
+    }
+    EXPECT_TRUE(caller.get());
+  }
+  ASSERT_TRUE(finished) << "a filter on a saturated pool worker never returned";
+  delete pool;
 }
 
 /// The partials funnel used by the serving layer (FilterRowsMultiPartials,

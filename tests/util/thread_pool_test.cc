@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -74,6 +75,30 @@ TEST(ThreadPoolTest, SubmitTaskPropagatesExceptions) {
   EXPECT_THROW(result.get(), std::runtime_error);
   // The worker must survive the throwing task.
   EXPECT_EQ(pool.SubmitTask([] { return 7; }).get(), 7);
+}
+
+TEST(ThreadPoolTest, SingleWorkerRunsTasksInSubmissionOrder) {
+  ThreadPool pool(1);
+  // Hold the only worker so every later task is queued before any runs.
+  std::promise<void> held;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  pool.Submit([&held, opened] {
+    held.set_value();
+    opened.wait();
+  });
+  held.get_future().wait();
+  std::vector<int> order;
+  const int kTasks = 64;
+  for (int i = 0; i < kTasks; ++i) {
+    pool.Submit([&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(pool.QueuedTasks(), static_cast<size_t>(kTasks));
+  gate.set_value();
+  pool.Wait();
+  std::vector<int> expected(kTasks);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPoolTest, PendingTasksDrainsToZero) {
