@@ -298,8 +298,8 @@ int main() {
   config.targets = {"cancelled"};
   config.max_query_predicates = 2;
   if (!registry
-           .RegisterGenerated("flights", config, vq::bench::BenchRows("flights"),
-                              kSeed)
+           .AddGenerated("flights", config, vq::bench::BenchRows("flights"),
+                         kSeed)
            .ok()) {
     return 1;
   }

@@ -254,10 +254,6 @@ int main() {
         Sink(sum);
       },
       join_blocks));
-  kernels.push_back(
-      bench_kernel("weighted_sum", &Kernels::weighted_sum, [&](const Kernels& k) {
-        Sink(k.weighted_sum(prior_dev.data(), weights.data(), n));
-      }));
   kernels.push_back(bench_kernel(
       "weighted_abs_dev", &Kernels::weighted_abs_dev, [&](const Kernels& k) {
         Sink(k.weighted_abs_dev(instance.prior, targets.data(), weights.data(), n));
@@ -391,8 +387,8 @@ int main() {
   config.targets = {"cancelled"};
   config.max_query_predicates = 2;
   if (!registry
-           .RegisterGenerated("flights", config, vq::bench::BenchRows("flights"),
-                              kSeed)
+           .AddGenerated("flights", config, vq::bench::BenchRows("flights"),
+                         kSeed)
            .ok()) {
     return 1;
   }

@@ -48,7 +48,7 @@ struct PerfCounters {
   /// untouched. The footgun-free spelling for cross-thread aggregation
   /// sites (`shared = shared.Merged(per_thread)` under the owner's mutex
   /// reads as the copy-merge-publish it is, where a bare Add() invites
-  /// calling it on a shared object from runner threads).
+  /// calling it on a shared object from worker threads).
   PerfCounters Merged(const PerfCounters& other) const;
 };
 

@@ -48,7 +48,7 @@ class PreparedProblem {
                                          const SummarizerOptions& options);
 
   /// Wraps an already-built instance (e.g. from BuildInstanceFromRows on the
-  /// serving layer's batched path) with its fact catalog and evaluator.
+  /// serving layer's on-demand path) with its fact catalog and evaluator.
   static Result<PreparedProblem> FromInstance(SummaryInstance instance,
                                               const SummarizerOptions& options);
 

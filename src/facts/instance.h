@@ -70,17 +70,16 @@ Result<SummaryInstance> BuildInstance(const Table& table,
                                       const InstanceOptions& options = {});
 
 /// The PriorKind::kGlobalAverage value: mean of the target column over the
-/// whole table. Exposed so the serving layer's batch solver can compute it
-/// once per target and substitute a kConstant prior WITHOUT duplicating
-/// this formula (batched answers must reproduce unbatched ones exactly).
+/// whole table. Exposed so the serving layer's on-demand solver can compute
+/// it once per target and substitute a kConstant prior WITHOUT duplicating
+/// this formula (on-demand answers must reproduce stored ones exactly).
 double GlobalAverage(const Table& table, int target_index);
 
 /// Like BuildInstance, but over an already-filtered row list (`rows` must be
 /// exactly the rows matching `query_predicates`). The single merge routine:
-/// the serving layer's batch solver filters many queries in one shared table
-/// pass (FilterRowsMulti) and builds each instance from its precomputed
-/// subset, and pre-processing builds its per-target base aggregate (no
-/// predicates, every row) here. Rows merge exactly on (codes, target bits):
+/// the serving layer's on-demand solver filters a miss's rows (FilterRows)
+/// and builds its instance here, and pre-processing builds its per-target
+/// base aggregate (no predicates, every row) here. Rows merge exactly on (codes, target bits):
 /// -0.0 and +0.0 stay separate rows and a NaN row never merges. Merged rows
 /// keep first-seen order.
 Result<SummaryInstance> BuildInstanceFromRows(const Table& table,

@@ -41,35 +41,37 @@ bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates) 
   return true;
 }
 
-std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
-  // Planner-routed since the indexed-scan refactor: posting-list
-  // intersection when selective, vectorized column scan otherwise. Both
-  // paths return exactly what the seed row-at-a-time loop returned. The
-  // funnel feeds the planner statistics -- the table's own model once warm,
-  // the process-wide one as the cold-start fallback -- so the
-  // postings-vs-scan threshold adapts to observed costs without tables of
-  // very different row counts skewing each other (plan changes never change
-  // results, only which identical-output path runs).
+namespace {
+
+// Planner-routed since the indexed-scan refactor: posting-list intersection
+// when selective, vectorized column scan otherwise. Both paths return exactly
+// what the seed row-at-a-time loop returned. The funnel feeds the planner
+// statistics -- the table's own model once warm, the process-wide one as the
+// cold-start fallback -- so the postings-vs-scan threshold adapts to observed
+// costs without tables of very different row counts skewing each other (plan
+// changes never change results, only which identical-output path runs).
+ScanPlannerOptions FunnelOptions() {
   ScanPlannerOptions options;
   options.stats = &GlobalScanStats();
   options.per_table_stats = true;
-  return PlannedFilterRows(table, predicates, options);
+  return options;
 }
 
-std::vector<std::vector<uint32_t>> FilterRowsMulti(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets) {
-  ScanPlannerOptions options;
-  options.stats = &GlobalScanStats();
-  options.per_table_stats = true;
-  return PlannedFilterRowsMulti(table, predicate_sets, options);
+}  // namespace
+
+std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
+  return PlannedFilterRows(table, predicates, FunnelOptions());
 }
 
 std::vector<ScanPartials> FilterRowsMultiPartials(
     const Table& table, const std::vector<const PredicateSet*>& predicate_sets) {
-  ScanPlannerOptions options;
-  options.stats = &GlobalScanStats();
-  options.per_table_stats = true;
-  return PlannedFilterRowsMultiPartials(table, predicate_sets, options);
+  ScanPlannerOptions options = FunnelOptions();
+  std::vector<ScanPartials> out;
+  out.reserve(predicate_sets.size());
+  for (const PredicateSet* predicates : predicate_sets) {
+    out.push_back(PlannedFilterRowsPartials(table, *predicates, options));
+  }
+  return out;
 }
 
 bool IsSubsetOf(const PredicateSet& subset, const PredicateSet& superset) {

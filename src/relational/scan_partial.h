@@ -3,7 +3,7 @@
 // The sharded scan planner answers a filter per shard and merges afterwards;
 // ScanPartial is that per-shard unit as a first-class, composable value so
 // downstream layers can consume shard results before (or instead of) the
-// merge -- the serving layer's batch solves do, and the planned incremental
+// merge -- perfbench's on-demand replay does, and the planned incremental
 // ingest path (ROADMAP item 3) will compose delta-shard partials with main
 // ones the same way.
 //

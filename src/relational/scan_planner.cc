@@ -119,20 +119,18 @@ obs::LatencyHistogram* ShardHistogram(size_t shard) {
   return hists[std::min(shard, kShardLabels)];
 }
 
-/// Forced-alternate-path exploration, shared by the single and batched
-/// funnels: every kProbePeriod-th eligible decision (multi-predicate, both
-/// paths runnable, statistics active) flips `plan` to the path the planner
-/// did NOT pick. Only executed paths are timed, so without this an outlier
+/// Forced-alternate-path exploration: every kProbePeriod-th eligible
+/// decision (multi-predicate, both paths runnable, statistics active) flips
+/// `plan` to the path the planner did NOT pick. Only executed paths are timed, so without this an outlier
 /// streak that clamps the factor starves the disfavored path of samples
 /// forever; the probe guarantees both EWMAs keep training. Both paths
-/// return identical rows, so a probe can never change a result. Returns
-/// true when the plan was flipped.
-bool MaybeProbeAlternate(const Table& table, const ScanPlannerOptions& options,
+/// return identical rows, so a probe can never change a result.
+void MaybeProbeAlternate(const Table& table, const ScanPlannerOptions& options,
                          const PredicateSet& predicates, ScanPlan* plan) {
-  if (options.force_scan || predicates.size() <= 1) return false;
+  if (options.force_scan || predicates.size() <= 1) return;
   if (plan->strategy != ScanStrategy::kPostings &&
       plan->strategy != ScanStrategy::kColumnScan) {
-    return false;
+    return;
   }
   // Probe cost must stay comparable to the favored path's. Flipping a scan
   // plan to postings is always cheap (the intersection visits at most the
@@ -145,17 +143,16 @@ bool MaybeProbeAlternate(const Table& table, const ScanPlannerOptions& options,
   if (plan->strategy == ScanStrategy::kPostings &&
       static_cast<double>(table.NumRows()) >
           static_cast<double>(plan->estimated_rows) * ScanStats::kMaxFactor) {
-    return false;
+    return;
   }
   ScanStats* steering = PlanningStats(table, options);
-  if (steering == nullptr || !steering->TakeProbe()) return false;
+  if (steering == nullptr || !steering->TakeProbe()) return;
   plan->strategy = plan->strategy == ScanStrategy::kPostings
                        ? ScanStrategy::kColumnScan
                        : ScanStrategy::kPostings;
   static obs::Counter* probes =
       obs::MetricsRegistry::Global().GetCounter("vq_scan_probes_total");
   probes->Increment();
-  return true;
 }
 
 /// Galloping (exponential-probe) lower bound: first position in [lo, size)
@@ -446,7 +443,7 @@ ScanPartials PlannedFilterRowsPartials(const Table& table,
                                        const PredicateSet& predicates,
                                        const ScanPlannerOptions& options) {
   ScanPlan plan = PlanScan(table, predicates, options);
-  (void)MaybeProbeAlternate(table, options, predicates, &plan);
+  MaybeProbeAlternate(table, options, predicates, &plan);
   // Statistics feedback: time the execution and charge it to the path that
   // actually ran, normalized by that path's cost driver. Only executions
   // that actually train the model pay for the clock: single-predicate
@@ -476,85 +473,6 @@ std::vector<uint32_t> PlannedFilterRows(const Table& table,
                                         const PredicateSet& predicates,
                                         const ScanPlannerOptions& options) {
   return MergeScanPartials(PlannedFilterRowsPartials(table, predicates, options));
-}
-
-std::vector<ScanPartials> PlannedFilterRowsMultiPartials(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets,
-    const ScanPlannerOptions& options) {
-  std::vector<ScanPartials> out(predicate_sets.size());
-  // Selective sets are answered from posting lists; the rest share one pass.
-  std::vector<size_t> scan_sets;
-  for (size_t q = 0; q < predicate_sets.size(); ++q) {
-    const PredicateSet& predicates = *predicate_sets[q];
-    ScanPlan plan = PlanScan(table, predicates, options);
-    // A probed postings-planned set runs its own timed column scan instead
-    // of joining the shared pass, so the probe's sample is attributable; a
-    // probed scan-planned set executes postings individually as usual.
-    bool probed = MaybeProbeAlternate(table, options, predicates, &plan);
-    if (plan.strategy == ScanStrategy::kColumnScan && probed) {
-      Stopwatch watch;
-      out[q] = ExecutePlanPartials(table, predicates, plan, options);
-      RecordScanSample(table, options, table.NumRows(), watch.ElapsedSeconds());
-    } else if (plan.strategy == ScanStrategy::kColumnScan) {
-      scan_sets.push_back(q);
-    } else if (RecordsStats(options) &&
-               plan.strategy == ScanStrategy::kPostings &&
-               predicates.size() > 1) {
-      // Same single-path rule as PlannedFilterRows: only executions that
-      // train the model pay for the clock.
-      Stopwatch watch;
-      out[q] = ExecutePlanPartials(table, predicates, plan, options);
-      RecordPostingsSample(table, options, plan.estimated_rows,
-                           watch.ElapsedSeconds());
-    } else {
-      out[q] = ExecutePlanPartials(table, predicates, plan, options);
-    }
-  }
-  if (!scan_sets.empty()) {
-    const TableIndex& index = table.index();
-    for (size_t q : scan_sets) out[q] = EmptyPartials(index);
-    // The shared pass visits each shard once, checking every batched set
-    // against each row of that shard -- the per-shard unit of the same
-    // one-pass contract the unsharded code kept per table. Multi-shard
-    // tables fan the shard passes out like the single-filter path.
-    auto scan_shard = [&](size_t s) {
-      const ShardIndex& shard = index.shard(s);
-      uint32_t base = shard.base();
-      uint32_t rows = shard.num_rows();
-      for (uint32_t r = 0; r < rows; ++r) {
-        for (size_t q : scan_sets) {
-          if (RowMatches(table, base + r, *predicate_sets[q])) {
-            out[q][s].rows.push_back(r);
-          }
-        }
-      }
-    };
-    ThreadPool* pool = ResolvePool(options);
-    size_t n = table.NumRows();
-    Stopwatch watch;
-    if (!ShouldFanOut(index, pool)) {
-      for (size_t s = 0; s < index.num_shards(); ++s) scan_shard(s);
-    } else {
-      RunShardFanout(index, pool, scan_shard);
-    }
-    // The batch shares ONE pass: charge its per-row cost once, normalized
-    // by the rows scanned (the planner compares per-set costs, and each
-    // set's marginal share of a shared pass is at most one full scan).
-    RecordScanSample(table, options, n * scan_sets.size(), watch.ElapsedSeconds());
-  }
-  return out;
-}
-
-std::vector<std::vector<uint32_t>> PlannedFilterRowsMulti(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets,
-    const ScanPlannerOptions& options) {
-  std::vector<ScanPartials> partials =
-      PlannedFilterRowsMultiPartials(table, predicate_sets, options);
-  std::vector<std::vector<uint32_t>> out(partials.size());
-  for (size_t q = 0; q < partials.size(); ++q) {
-    out[q] = MergeScanPartials(std::move(partials[q]));
-  }
-  return out;
 }
 
 }  // namespace vq

@@ -2,11 +2,11 @@
 //
 // Every subset the system materializes -- preprocessor query scopes, the
 // serving layer's on-demand misses, instance construction -- funnels through
-// FilterRows/FilterRowsMulti (relational/predicate.h). The planner answers
-// those through the table's inverted index (storage/index.h) when posting
-// lists are selective, by galloping intersection of the sorted lists; when
-// the per-(dim,value) counts say a pass over the columns is cheaper (barely
-// selective predicates), it falls back to a vectorized column scan. Both
+// FilterRows (relational/predicate.h). The planner answers those through the
+// table's inverted index (storage/index.h) when posting lists are selective,
+// by galloping intersection of the sorted lists; when the per-(dim,value)
+// counts say a pass over the columns is cheaper (barely selective
+// predicates), it falls back to a vectorized column scan. Both
 // paths emit row ids in ascending order, so results are bit-identical to the
 // seed row-at-a-time loop (tests/relational/scan_planner_test.cc proves this
 // by property testing all three).
@@ -35,12 +35,12 @@ namespace vq {
 
 class ThreadPool;
 
-/// Process-wide statistics instance: FilterRows/FilterRowsMulti (the funnel
-/// every subsystem materializes subsets through) record into and plan from
-/// it, so the whole serving fleet shares one learned cost model -- and new
-/// tables plan from it until their own per-table statistics (hung off the
-/// lazily built TableIndex, see ScanPlannerOptions::per_table_stats) have
-/// enough samples. bench/scan_throughput.cpp reports its state into
+/// Process-wide statistics instance: FilterRows (the funnel every subsystem
+/// materializes subsets through) records into and plans from it, so the
+/// whole serving fleet shares one learned cost model -- and new tables plan
+/// from it until their own per-table statistics (hung off the lazily built
+/// TableIndex, see ScanPlannerOptions::per_table_stats) have enough
+/// samples. bench/scan_throughput.cpp reports its state into
 /// BENCH_scan.json.
 ScanStats& GlobalScanStats();
 
@@ -78,7 +78,7 @@ struct ScanPlannerOptions {
   /// Forces kColumnScan (tests/benches measuring the fallback path).
   bool force_scan = false;
   /// Statistics feedback: PlanScan draws its cost factor from here and
-  /// PlannedFilterRows/PlannedFilterRowsMulti record observed execution
+  /// PlannedFilterRows/PlannedFilterRowsPartials record observed execution
   /// costs back. nullptr keeps the fixed-cost_factor behavior (tests that
   /// assert specific plans stay deterministic). When statistics are active,
   /// every ScanStats::kProbePeriod-th eligible multi-predicate filter
@@ -89,10 +89,10 @@ struct ScanPlannerOptions {
   /// `stats` once that table has at least `table_stats_min_samples` on BOTH
   /// paths. A process-wide EWMA blends tables of very different row counts
   /// -- a tiny table's cheap scans would lower the learned factor a huge
-  /// table then plans with -- so the funnel (FilterRows/FilterRowsMulti)
-  /// turns this on: recording always trains the per-table AND the shared
-  /// statistics, planning uses the per-table model as soon as it is warm and
-  /// the shared one as the cold-start fallback. Off by default so tests that
+  /// table then plans with -- so the funnel (FilterRows) turns this on:
+  /// recording always trains the per-table AND the shared statistics,
+  /// planning uses the per-table model as soon as it is warm and the shared
+  /// one as the cold-start fallback. Off by default so tests that
   /// inject a specific ScanStats stay deterministic.
   bool per_table_stats = false;
   uint64_t table_stats_min_samples = 16;
@@ -127,21 +127,6 @@ std::vector<uint32_t> PlannedFilterRows(const Table& table,
 ScanPartials PlannedFilterRowsPartials(const Table& table,
                                        const PredicateSet& predicates,
                                        const ScanPlannerOptions& options = {});
-
-/// Batched variant behind FilterRowsMulti: predicate sets whose plan says
-/// kColumnScan share ONE pass over the table (the serving layer's batched
-/// on-demand contract) -- parallelized across shards on multi-shard tables
-/// -- while selective sets are answered individually from posting lists.
-std::vector<std::vector<uint32_t>> PlannedFilterRowsMulti(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets,
-    const ScanPlannerOptions& options = {});
-
-/// Batched variant returning per-set, per-shard partials (out[q][s] is
-/// predicate set q's answer on shard s). What EngineHost's batch solves
-/// consume directly.
-std::vector<ScanPartials> PlannedFilterRowsMultiPartials(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets,
-    const ScanPlannerOptions& options = {});
 
 /// The two execution paths, exposed for equivalence tests and benches.
 /// Postings: per-shard galloping intersection, shortest list first. Scan:

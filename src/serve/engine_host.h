@@ -3,7 +3,7 @@
 // An EngineHost owns everything needed to answer requests against ONE
 // pre-built (Table, Configuration, VoiceQueryEngine) triple: classification,
 // cache lookup keyed by the engine's configuration fingerprint, in-flight
-// coalescing, store lookup, batched on-demand summarization and the
+// coalescing, store lookup, on-demand summarization and the
 // most-specific-speech fallback. It deliberately owns no threads and no
 // cache: the worker pool, the sharded answer cache and the coalescer are
 // injected, so a RoutingService runs many hosts -- or one, for a
@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,16 +39,11 @@ struct HostOptions {
   /// pre-computed speech (instead of only falling back to the most specific
   /// containing speech, as the bare engine does).
   bool on_demand_summaries = true;
-  /// Group concurrent on-demand misses that share a target column and solve
-  /// them in one shared pass over the table (one row scan + one prior
-  /// computation per batch instead of per query).
-  bool batch_on_demand = true;
-  /// Cache "I have no summary..." outcomes too, shielding the optimizer
-  /// from repeated unanswerable queries.
-  bool cache_unanswerable = true;
-  /// TTL for cached unanswerable (negative) results; <= 0 keeps them until
-  /// LRU eviction. A bounded TTL lets answers learned later (store reloads,
-  /// new datasets) replace stale apologies.
+  /// TTL for cached unanswerable (negative) results: "I have no summary..."
+  /// outcomes are cached too, shielding the optimizer from repeated
+  /// unanswerable queries. <= 0 keeps them until LRU eviction. A bounded TTL
+  /// lets answers learned later (store reloads, new datasets) replace stale
+  /// apologies.
   double unanswerable_ttl_seconds = 0.0;
   /// TTL for cached ANSWERED results; <= 0 keeps them until LRU eviction
   /// (the default: rendered answers over an immutable table never go bad).
@@ -62,7 +56,7 @@ struct HostOptions {
   /// without bound (RoutingService turns this on when its registry
   /// persists).
   bool record_learned = false;
-  /// Thread share for on-demand solving: at most this many batch solves run
+  /// Thread share for on-demand solving: at most this many solves run
   /// concurrently on this host (0 = unlimited). This caps the CPU a cold or
   /// miss-heavy dataset's optimizer runs consume -- greedy solves are the
   /// compute-heavy path -- so neighbors' cheap requests keep getting cores.
@@ -109,8 +103,6 @@ struct HostOptions {
 /// negative-result TTL) to their struct defaults instead of the fleet's.
 struct HostOverrides {
   std::optional<bool> on_demand_summaries;
-  std::optional<bool> batch_on_demand;
-  std::optional<bool> cache_unanswerable;
   std::optional<double> unanswerable_ttl_seconds;
   std::optional<double> answer_ttl_seconds;
   std::optional<bool> record_learned;
@@ -145,8 +137,8 @@ struct ServeResponse {
 /// Monotonic per-host counters. `on_demand_summaries` increments exactly
 /// once per unique query that reached the optimizer (coalescing guarantees
 /// concurrent identical misses share one run); `on_demand_passes` counts
-/// shared table scans (one per solved batch), so batching makes it grow
-/// slower than `on_demand_summaries`.
+/// solve attempts that got a solve slot (one row filter each), so it equals
+/// `on_demand_summaries` unless a solve failed or its budget ran out.
 struct HostStats {
   uint64_t requests = 0;
   uint64_t queries = 0;  ///< requests classified as data-access queries
@@ -156,9 +148,8 @@ struct HostStats {
   uint64_t store_exact_hits = 0;
   uint64_t store_fallback_hits = 0;
   uint64_t on_demand_summaries = 0;
-  uint64_t on_demand_passes = 0;  ///< shared table scans (batch solves)
-  uint64_t max_batch = 0;         ///< largest batch solved so far
-  uint64_t max_active_solves = 0; ///< peak concurrent batch solves observed
+  uint64_t on_demand_passes = 0;  ///< solve attempts past the solve gate
+  uint64_t max_active_solves = 0; ///< peak concurrent solves observed
   uint64_t unanswerable = 0;
   uint64_t degraded = 0;      ///< responses served with ServeStatus::kDegraded
   uint64_t timeouts = 0;      ///< responses served with ServeStatus::kTimeout
@@ -218,10 +209,10 @@ class EngineHost {
                        const Deadline* deadline = nullptr, bool admitted = true);
 
   /// Aggregated optimizer work counters (join/bound row visits, pruning
-  /// decisions) over every on-demand solve this host ran. Batches run
+  /// decisions) over every on-demand solve this host ran. Solves run
   /// concurrently on pool worker threads, and PerfCounters::Add is a plain
   /// non-atomic accumulate, so per-solve counters are merged under a host
-  /// mutex here -- never Add() into a shared PerfCounters from runner
+  /// mutex here -- never Add() into a shared PerfCounters from worker
   /// threads directly (the serve-tsan preset guards this path).
   PerfCounters perf() const;
 
@@ -255,26 +246,6 @@ class EngineHost {
   obs::TraceSampler& trace_sampler() { return trace_sampler_; }
 
  private:
-  /// One on-demand miss waiting for (or running) a batch solve.
-  struct PendingOnDemand {
-    VoiceQuery query;
-    std::promise<ServedAnswerPtr> promise;
-    /// Copy of the requesting thread's deadline (absent = unbounded). A copy,
-    /// not a pointer: a waiter whose budget expires abandons its future and
-    /// returns, destroying its stack Deadline while the elected runner may
-    /// still be solving this entry.
-    std::optional<Deadline> deadline;
-  };
-  /// Per-target batch queue: misses enqueue; one of them is elected runner
-  /// for ONE batch at a time, then hands runnership to a woken waiter, so no
-  /// single request's latency grows with the length of a miss burst.
-  struct TargetBatchQueue {
-    Mutex mutex;
-    CondVar cv;
-    bool running GUARDED_BY(mutex) = false;
-    std::vector<std::shared_ptr<PendingOnDemand>> waiting GUARDED_BY(mutex);
-  };
-
   /// Computes the answer for a grounded query (store lookup, then on-demand
   /// summarization, then most-specific fallback). `trace` may be null; it
   /// only ever receives spans from the calling thread's own work. An expired
@@ -283,25 +254,18 @@ class EngineHost {
   ServedAnswerPtr ComputeAnswer(const VoiceQuery& query, obs::Trace* trace,
                                 const Deadline* deadline);
 
-  /// Entry point of the batched on-demand path. Returns nullptr when the
-  /// query could not be summarized (empty subset etc.) OR when `deadline`
-  /// ran out before a solve slot/runner got to it, so the caller can fall
-  /// back to the most specific stored speech.
+  /// Solves one miss on the calling thread: takes a solve slot (the host's
+  /// HostOptions::max_concurrent_solves share, waiting at most the
+  /// `deadline`'s remaining budget), filters the query's rows, reads the
+  /// cached per-target prior, then builds, runs and renders. Returns nullptr
+  /// when no slot freed in time, the query could not be summarized (empty
+  /// subset, solver error, injected fault) or the budget ran out before the
+  /// first greedy iteration, so the caller falls back to the most specific
+  /// stored speech.
   ServedAnswerPtr SolveOnDemand(const VoiceQuery& query, obs::Trace* trace,
                                 const Deadline* deadline);
 
-  /// Solves one batch of distinct same-target queries in a single shared
-  /// table pass and fulfills every promise (with nullptr on failure); never
-  /// leaves a promise unresolved. Honors the host's on-demand thread share
-  /// (HostOptions::max_concurrent_solves) by gating entry -- bounded by the
-  /// runner's `deadline` (the whole batch resolves nullptr if the slot wait
-  /// times out: under that much solve pressure, batchmates' budgets are
-  /// presumed blown too, and every caller degrades to its store fallback).
-  /// `trace` belongs to the runner request whose thread executes the batch.
-  void SolveBatch(std::vector<std::shared_ptr<PendingOnDemand>> batch,
-                  obs::Trace* trace, const Deadline* deadline);
-
-  /// RAII thread-share slot around one batch solve: blocks while the host
+  /// RAII thread-share slot around one solve: blocks while the host
   /// already runs its maximum of concurrent solves (at most the deadline's
   /// remaining budget when one is supplied), tracks the active count and the
   /// max_active_solves gauge. Check acquired() before doing gated work.
@@ -319,7 +283,7 @@ class EngineHost {
     bool acquired_ = false;
   };
 
-  /// Solves one query of a batch from its pre-filtered rows. `deadline`
+  /// Builds, runs and renders one query from its filtered rows. `deadline`
   /// (nullable) truncates the greedy run (anytime checkpoint -> degraded
   /// answer); a truncation that produced zero facts returns nullptr.
   ServedAnswerPtr SolveOne(const VoiceQuery& query,
@@ -328,7 +292,7 @@ class EngineHost {
                            const Deadline* deadline);
 
   /// The global-average prior only depends on the (immutable) table and
-  /// target, so it is computed once per target and reused by every batch.
+  /// target, so it is computed once per target and reused by every solve.
   double GlobalAveragePrior(int target_index);
 
   /// Fills `response` from whatever is cached under `key` -- fresh (kOk) or
@@ -339,8 +303,6 @@ class EngineHost {
 
   /// Bumps the degraded/timeout/stale counters for a finished response.
   void RecordOutcome(const ServeResponse& response);
-
-  std::shared_ptr<TargetBatchQueue> BatchQueueFor(int target_index);
 
   std::string name_;
   const VoiceQueryEngine* engine_;
@@ -359,10 +321,6 @@ class EngineHost {
   obs::LatencyHistogram* render_hist_;
   obs::LatencyHistogram* coalesced_wait_hist_;
   obs::TraceSampler trace_sampler_;
-
-  Mutex batch_mutex_;
-  std::unordered_map<int, std::shared_ptr<TargetBatchQueue>> batch_queues_
-      GUARDED_BY(batch_mutex_);
 
   /// The solve thread share (HostOptions::max_concurrent_solves).
   Mutex gate_mutex_;
@@ -389,7 +347,6 @@ class EngineHost {
     std::atomic<uint64_t> store_fallback_hits{0};
     std::atomic<uint64_t> on_demand_summaries{0};
     std::atomic<uint64_t> on_demand_passes{0};
-    std::atomic<uint64_t> max_batch{0};
     std::atomic<uint64_t> max_active_solves{0};
     std::atomic<uint64_t> unanswerable{0};
     std::atomic<uint64_t> degraded{0};

@@ -79,7 +79,7 @@ struct DatasetEntry {
   /// entry's host. Only the fields explicitly set in the overrides change;
   /// every unset field keeps the fleet value -- so a policy that only caps
   /// max_concurrent_solves still inherits the fleet's negative-result TTL,
-  /// batching mode, cache quota, etc. See HostOverrides::ApplyTo.
+  /// on-demand switch, cache quota, etc. See HostOverrides::ApplyTo.
   std::optional<HostOverrides> policy;
 };
 
@@ -174,18 +174,6 @@ class DatasetRegistry {
   /// acquired earlier keep the entry -- table, engine, stores -- alive until
   /// they drop it. NotFound when the name is not currently registered.
   Status RemoveDataset(const std::string& name);
-
-  /// Pre-snapshot-era names kept as aliases so existing callers read
-  /// naturally at startup; they ARE AddDataset/AddGenerated.
-  Status RegisterGenerated(const std::string& name, Configuration config,
-                           size_t rows, uint64_t seed,
-                           const PreprocessOptions& options = {}) {
-    return AddGenerated(name, std::move(config), rows, seed, options);
-  }
-  Status RegisterTable(const std::string& name, Table table, Configuration config,
-                       const PreprocessOptions& options = {}) {
-    return AddDataset(name, std::move(table), std::move(config), options);
-  }
 
   /// The current published snapshot (wait-free; never nullptr). Holding the
   /// returned pointer pins every entry in it, including later-removed ones.

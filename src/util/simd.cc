@@ -45,12 +45,6 @@ double MaskedSum64Scalar(const double* block, uint64_t mask) {
   return sum;
 }
 
-double WeightedSumScalar(const double* values, const double* weights, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
-}
-
 double WeightedAbsDevScalar(double center, const double* values,
                             const double* weights, size_t n) {
   double sum = 0.0;
@@ -121,11 +115,10 @@ double MaskedSingleFactScalar(double value, const double* targets,
 }
 
 const Kernels kScalarKernels = {
-    "scalar",           OrPopcountScalar,     MaskedSum64Scalar,
-    MaskedSingleFactScalar,
-    WeightedSumScalar,  WeightedAbsDevScalar, PositiveGainScalar,
+    "scalar",                OrPopcountScalar,         MaskedSum64Scalar,
+    MaskedSingleFactScalar,  WeightedAbsDevScalar,     PositiveGainScalar,
     GatherWeightedSumScalar, GatherPositiveGainScalar,
-    MinUpdateScalar,    ArgMaxScalar,
+    MinUpdateScalar,         ArgMaxScalar,
 };
 
 // ----------------------------------------------------------------- AVX2
@@ -201,26 +194,6 @@ VQ_AVX2 double MaskedSum64Avx2(const double* block, uint64_t mask) {
                         _mm256_and_pd(lane_mask, _mm256_loadu_pd(block + i)));
   }
   return HorizontalSum(acc);
-}
-
-VQ_AVX2 double WeightedSumAvx2(const double* values, const double* weights,
-                               size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i),
-                           _mm256_loadu_pd(weights + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i + 4),
-                           _mm256_loadu_pd(weights + i + 4), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i),
-                           _mm256_loadu_pd(weights + i), acc0);
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
 }
 
 VQ_AVX2 double WeightedAbsDevAvx2(double center, const double* values,
@@ -385,11 +358,10 @@ VQ_AVX2 size_t ArgMaxAvx2(const double* values, size_t n) {
 }
 
 const Kernels kAvx2Kernels = {
-    "avx2",            OrPopcountAvx2,     MaskedSum64Avx2,
-    MaskedSingleFactScalar,
-    WeightedSumAvx2,   WeightedAbsDevAvx2, PositiveGainAvx2,
-    GatherWeightedSumAvx2, GatherPositiveGainAvx2,
-    MinUpdateAvx2,     ArgMaxAvx2,
+    "avx2",                 OrPopcountAvx2,         MaskedSum64Avx2,
+    MaskedSingleFactScalar, WeightedAbsDevAvx2,     PositiveGainAvx2,
+    GatherWeightedSumAvx2,  GatherPositiveGainAvx2,
+    MinUpdateAvx2,          ArgMaxAvx2,
 };
 
 // --------------------------------------------------------------- AVX-512
@@ -465,11 +437,10 @@ VQ_AVX512 size_t ArgMaxAvx512(const double* values, size_t n) {
 }
 
 const Kernels kAvx512Kernels = {
-    "avx512",          OrPopcountAvx2,     MaskedSum64Avx512,
-    MaskedSingleFactScalar,
-    WeightedSumAvx2,   WeightedAbsDevAvx2, PositiveGainAvx2,
-    GatherWeightedSumAvx2, GatherPositiveGainAvx2,
-    MinUpdateAvx2,     ArgMaxAvx512,
+    "avx512",               OrPopcountAvx2,         MaskedSum64Avx512,
+    MaskedSingleFactScalar, WeightedAbsDevAvx2,     PositiveGainAvx2,
+    GatherWeightedSumAvx2,  GatherPositiveGainAvx2,
+    MinUpdateAvx2,          ArgMaxAvx512,
 };
 
 #pragma GCC diagnostic pop

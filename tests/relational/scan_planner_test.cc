@@ -84,8 +84,8 @@ TEST(ScanPlannerPropertyTest, AllFilterPathsAgree) {
   }
 }
 
-/// Property: the batched multi-filter (mixed postings/scan execution)
-/// matches per-set naive filtering.
+/// Property: the multi-set partials funnel (mixed postings/scan execution),
+/// merged, matches per-set naive filtering.
 TEST(ScanPlannerPropertyTest, MultiFilterMatchesPerSetNaive) {
   Rng rng(987654321);
   for (int trial = 0; trial < 25; ++trial) {
@@ -95,10 +95,11 @@ TEST(ScanPlannerPropertyTest, MultiFilterMatchesPerSetNaive) {
     for (int q = 0; q < 8; ++q) sets.push_back(RandomPredicates(&rng, table, num_dims));
     std::vector<const PredicateSet*> pointers;
     for (const auto& set : sets) pointers.push_back(&set);
-    std::vector<std::vector<uint32_t>> batched = FilterRowsMulti(table, pointers);
-    ASSERT_EQ(batched.size(), sets.size());
+    std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
+    ASSERT_EQ(partials.size(), sets.size());
     for (size_t q = 0; q < sets.size(); ++q) {
-      EXPECT_EQ(batched[q], NaiveFilterRows(table, sets[q])) << "set " << q;
+      EXPECT_EQ(MergeScanPartials(std::move(partials[q])), NaiveFilterRows(table, sets[q]))
+          << "set " << q;
     }
   }
 }

@@ -182,10 +182,9 @@ TEST(ShardedScanPropertyTest, ParallelFanoutBitIdentical) {
   }
 }
 
-/// Property: the batched multi-filter (shared per-shard scan pass + selective
-/// postings sets) matches per-set naive filtering at every shard count, both
-/// sequentially and through an injected pool; the partials form obeys the
-/// per-set, per-shard contract.
+/// Property: the multi-set partials funnel matches per-set naive filtering at
+/// every shard count, and so do per-set partials through an injected pool;
+/// every partials result obeys the per-shard contract.
 TEST(ShardedScanPropertyTest, MultiFilterBitIdenticalAcrossShardCounts) {
   Rng rng(987654321);
   ThreadPool pool(3);
@@ -201,18 +200,15 @@ TEST(ShardedScanPropertyTest, MultiFilterBitIdenticalAcrossShardCounts) {
 
     for (size_t shard_rows : ShardSizeConfigs(num_rows)) {
       table.SetTargetShardRows(shard_rows);
-      std::vector<std::vector<uint32_t>> batched = FilterRowsMulti(table, pointers);
-      ASSERT_EQ(batched.size(), sets.size());
-      for (size_t q = 0; q < sets.size(); ++q) {
-        EXPECT_EQ(batched[q], expected[q]) << "set " << q;
-      }
+      std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
+      ASSERT_EQ(partials.size(), sets.size());
       ScanPlannerOptions options;
       options.pool = &pool;
-      std::vector<ScanPartials> partials =
-          PlannedFilterRowsMultiPartials(table, pointers, options);
-      ASSERT_EQ(partials.size(), sets.size());
       for (size_t q = 0; q < sets.size(); ++q) {
         EXPECT_EQ(CheckedMerge(table, partials[q]), expected[q]) << "set " << q;
+        EXPECT_EQ(CheckedMerge(table, PlannedFilterRowsPartials(table, sets[q], options)),
+                  expected[q])
+            << "pooled set " << q;
       }
     }
   }
@@ -231,10 +227,8 @@ TEST(ShardedScanTest, FiltersOnEverySaturatedPoolWorkerFinish) {
                                        {EqPredicate{0, 0}, EqPredicate{1, 0}}};
   for (auto& predicates : queries) ASSERT_TRUE(NormalizePredicates(&predicates).ok());
   for (int q = 0; q < 4; ++q) queries.push_back(RandomPredicates(&rng, table, 3));
-  std::vector<const PredicateSet*> batch;
   std::vector<std::vector<uint32_t>> expected;
   for (const PredicateSet& predicates : queries) {
-    batch.push_back(&predicates);
     expected.push_back(NaiveFilterRows(table, predicates));
   }
 
@@ -255,7 +249,6 @@ TEST(ShardedScanTest, FiltersOnEverySaturatedPoolWorkerFinish) {
         for (size_t q = 0; q < queries.size(); ++q) {
           equal = equal && PlannedFilterRows(table, queries[q], options) == expected[q];
         }
-        equal = equal && PlannedFilterRowsMulti(table, batch, options) == expected;
       }
       return equal;
     }));
@@ -273,8 +266,8 @@ TEST(ShardedScanTest, FiltersOnEverySaturatedPoolWorkerFinish) {
   delete pool;
 }
 
-/// The partials funnel used by the serving layer (FilterRowsMultiPartials,
-/// which trains the global planner statistics) agrees with FilterRowsMulti.
+/// The partials funnel (FilterRowsMultiPartials, which trains the global
+/// planner statistics like FilterRows) agrees with the merged funnel.
 TEST(ShardedScanTest, PartialsFunnelMatchesMergedFunnel) {
   Rng rng(5);
   Table table = RandomTable(&rng, 300, 3, 8);
@@ -283,11 +276,11 @@ TEST(ShardedScanTest, PartialsFunnelMatchesMergedFunnel) {
   for (int q = 0; q < 6; ++q) sets.push_back(RandomPredicates(&rng, table, 3));
   std::vector<const PredicateSet*> pointers;
   for (const auto& set : sets) pointers.push_back(&set);
-  std::vector<std::vector<uint32_t>> merged = FilterRowsMulti(table, pointers);
   std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
-  ASSERT_EQ(partials.size(), merged.size());
-  for (size_t q = 0; q < merged.size(); ++q) {
-    EXPECT_EQ(MergeScanPartials(std::move(partials[q])), merged[q]) << "set " << q;
+  ASSERT_EQ(partials.size(), sets.size());
+  for (size_t q = 0; q < sets.size(); ++q) {
+    EXPECT_EQ(MergeScanPartials(std::move(partials[q])), FilterRows(table, sets[q]))
+        << "set " << q;
   }
 }
 

@@ -59,14 +59,14 @@ class ChaosTest : public ::testing::Test {
 TEST_F(ChaosTest, RouterSurvivesFaultStormWithReconciledLedger) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("flights", FlightsConfig(), 600, kSeed).ok());
+      registry.AddGenerated("flights", FlightsConfig(), 600, kSeed).ok());
   ASSERT_TRUE(
-      registry.RegisterGenerated("re", RunningExampleConfig(), 64, kSeed).ok());
+      registry.AddGenerated("re", RunningExampleConfig(), 64, kSeed).ok());
 
   fault::FaultInjector& faults = fault::FaultInjector::Global();
   faults.Seed(kSeed);
   // Every serving-path fault point misbehaves at once: submissions bounce at
-  // the door, batch solves blow up or stall long enough to blow budgets.
+  // the door, on-demand solves blow up or stall long enough to blow budgets.
   faults.Arm(fault::kPoolSubmit, {.fail_probability = 0.05});
   faults.Arm(fault::kSolveBatch,
              {.fail_probability = 0.5, .delay_seconds = 0.002});
@@ -151,12 +151,12 @@ TEST_F(ChaosTest, RouterSurvivesFaultStormWithReconciledLedger) {
 TEST_F(ChaosTest, SolveBatchFaultDegradesToFallbackNotFailure) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("re", RunningExampleConfig(), 64, kSeed).ok());
+      registry.AddGenerated("re", RunningExampleConfig(), 64, kSeed).ok());
   fault::FaultInjector::Global().Arm(fault::kSolveBatch,
                                      {.fail_probability = 1.0});
   RoutingService router(&registry);
 
-  // Every batch solve throws, so the on-demand answer is impossible -- but
+  // Every on-demand solve throws, so the on-demand answer is impossible -- but
   // the caller still gets the most specific stored speech, not an exception
   // or a hang.
   RoutedResponse routed = router.AnswerNow("delay in the North");

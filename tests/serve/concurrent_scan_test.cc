@@ -114,12 +114,12 @@ TEST(ConcurrentScanTest, LazyIndexBuildRacesFilters) {
   }
 }
 
-/// The serving funnel under contention: concurrent batched multi-filters
-/// (the EngineHost batch-solve shape) over a shared multi-shard table.
-TEST(ConcurrentScanTest, BatchedMultiFiltersConcurrently) {
+/// The partials funnel under contention: concurrent multi-set filters over
+/// a shared multi-shard table.
+TEST(ConcurrentScanTest, MultiSetPartialsFiltersConcurrently) {
   Table table = MultiShardTable(2500, 400);  // 7 shards
   std::vector<PredicateSet> sets = {
-      {},  // kAllRows through the batch path
+      {},  // kAllRows through the partials funnel
       {EqPredicate{0, 0}},
       {EqPredicate{0, 0}, EqPredicate{1, 1}},
       {EqPredicate{1, 3}},
@@ -135,9 +135,9 @@ TEST(ConcurrentScanTest, BatchedMultiFiltersConcurrently) {
   for (int c = 0; c < 5; ++c) {
     callers.emplace_back([&] {
       for (int i = 0; i < 25; ++i) {
-        std::vector<std::vector<uint32_t>> batched = FilterRowsMulti(table, pointers);
+        std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
         for (size_t q = 0; q < sets.size(); ++q) {
-          if (batched[q] != expected[q]) {
+          if (MergeScanPartials(std::move(partials[q])) != expected[q]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }

@@ -62,7 +62,7 @@ class OverloadTest : public ::testing::Test {
   void SetUp() override {
     fault::FaultInjector::Global().Reset();
     ASSERT_TRUE(
-        registry_.RegisterGenerated("flights", FlightsConfig(), 600, kSeed).ok());
+        registry_.AddGenerated("flights", FlightsConfig(), 600, kSeed).ok());
   }
   void TearDown() override { fault::FaultInjector::Global().Reset(); }
 
@@ -139,7 +139,7 @@ TEST_F(OverloadTest, HostPreComputeExpiryServesCachedAnswerIfPresent) {
 TEST_F(OverloadTest, SolveStageExpiryDegradesToStoreFallback) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("re", RunningExampleConfig(), 16, kSeed).ok());
+      registry.AddGenerated("re", RunningExampleConfig(), 16, kSeed).ok());
   RoutingService router(&registry);
   EngineHost* host = router.host("re");
   ASSERT_NE(host, nullptr);
@@ -167,7 +167,7 @@ TEST_F(OverloadTest, SolveStageExpiryDegradesToStoreFallback) {
 TEST_F(OverloadTest, AnytimeGreedyTruncationIsFlaggedDegraded) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("re", RunningExampleConfig(), 16, kSeed).ok());
+      registry.AddGenerated("re", RunningExampleConfig(), 16, kSeed).ok());
   RoutingService router(&registry);
   EngineHost* host = router.host("re");
 

@@ -1,6 +1,6 @@
 // Concurrent aggregation of optimizer work counters in EngineHost.
 //
-// Batched on-demand solves run on many pool threads; each solve merges its
+// On-demand solves run on many pool threads; each solve merges its
 // SummaryResult counters into the host under the perf mutex. This test
 // hammers that path from concurrent submitters -- the serve-tsan preset
 // runs it under ThreadSanitizer, which is what actually proves the merge is
@@ -85,7 +85,7 @@ TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
                   .ok());
 
   // Months are outside the configuration, so every request below misses the
-  // store and reaches the batched on-demand optimizer.
+  // store and reaches the on-demand optimizer.
   std::vector<std::string> requests;
   const Table& table = *registry.table("flights");
   const Dictionary& months =

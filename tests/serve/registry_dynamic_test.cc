@@ -272,10 +272,10 @@ TEST(DynamicRegistryTest, PerDatasetPoliciesOverrideTheFleetDefault) {
                    60.0);
   EXPECT_EQ(router.host("flights")->options().cache_byte_quota, 0u);
   // Merge semantics: every field the policy left unset keeps the FLEET
-  // value -- "re" still batches on-demand solves and keeps the fleet's
+  // value -- "re" still solves misses on demand and keeps the fleet's
   // trace sampling even though its policy never mentioned either.
-  EXPECT_EQ(router.host("re")->options().batch_on_demand,
-            RouterOptions{}.host.batch_on_demand);
+  EXPECT_EQ(router.host("re")->options().on_demand_summaries,
+            RouterOptions{}.host.on_demand_summaries);
   EXPECT_EQ(router.host("re")->options().trace_samples_per_second,
             RouterOptions{}.host.trace_samples_per_second);
 }
@@ -317,8 +317,8 @@ TEST(DynamicRegistryTest, CacheByteQuotaBoundsOneDatasetsOccupancy) {
 }
 
 TEST(DynamicRegistryTest, ThreadShareCapsConcurrentSolves) {
-  // Two targets so concurrent on-demand misses form two independent batch
-  // queues -- without the policy they would solve in parallel.
+  // Concurrent on-demand misses over two targets -- without the policy
+  // they would solve in parallel.
   Configuration config;
   config.table = "flights";
   config.dimensions = {"season"};
@@ -348,7 +348,7 @@ TEST(DynamicRegistryTest, ThreadShareCapsConcurrentSolves) {
   }
   HostStats stats = router.host("flights")->stats();
   EXPECT_GE(stats.on_demand_summaries, months.size());
-  // The gate never admitted a second concurrent batch solve.
+  // The gate never admitted a second concurrent solve.
   EXPECT_EQ(stats.max_active_solves, 1u);
 }
 

@@ -33,7 +33,7 @@ std::string FreshTempDir(const std::string& tag) {
 TEST(DatasetRegistryTest, RegistersAndLooksUpByName) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
+      registry.AddGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
           .ok());
   EXPECT_EQ(registry.size(), 1u);
   EXPECT_EQ(registry.Names(), std::vector<std::string>{"flights"});
@@ -47,21 +47,21 @@ TEST(DatasetRegistryTest, RegistersAndLooksUpByName) {
 TEST(DatasetRegistryTest, RejectsDuplicateNamesAndUnknownGenerators) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
+      registry.AddGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
           .ok());
   Status duplicate =
-      registry.RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed);
+      registry.AddGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed);
   EXPECT_EQ(duplicate.code(), StatusCode::kAlreadyExists);
 
   Configuration unknown = SeasonOnlyFlightsConfig();
   unknown.table = "no_such_generator";
-  EXPECT_FALSE(registry.RegisterGenerated("other", unknown, 300, kSeed).ok());
+  EXPECT_FALSE(registry.AddGenerated("other", unknown, 300, kSeed).ok());
 }
 
 TEST(DatasetRegistryTest, SaveLearnedRequiresLearnedDir) {
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
+      registry.AddGenerated("flights", SeasonOnlyFlightsConfig(), 300, kSeed)
           .ok());
   Status st = registry.SaveLearned("flights", {});
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
@@ -77,8 +77,8 @@ TEST(DatasetRegistryTest, PersistsAndReloadsOnDemandSummaries) {
   {
     DatasetRegistry registry{RegistryOptions{learned_dir}};
     ASSERT_TRUE(registry
-                    .RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300,
-                                       kSeed)
+                    .AddGenerated("flights", SeasonOnlyFlightsConfig(), 300,
+                                  kSeed)
                     .ok());
     EXPECT_EQ(registry.learned_loaded("flights"), 0u);
 
@@ -102,8 +102,8 @@ TEST(DatasetRegistryTest, PersistsAndReloadsOnDemandSummaries) {
   {
     DatasetRegistry registry{RegistryOptions{learned_dir}};
     ASSERT_TRUE(registry
-                    .RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300,
-                                       kSeed)
+                    .AddGenerated("flights", SeasonOnlyFlightsConfig(), 300,
+                                  kSeed)
                     .ok());
     EXPECT_EQ(registry.learned_loaded("flights"), 1u);
 
@@ -123,8 +123,8 @@ TEST(DatasetRegistryTest, StaleLearnedSpeechesDiscardedOnConfigChange) {
   {
     DatasetRegistry registry{RegistryOptions{learned_dir}};
     ASSERT_TRUE(registry
-                    .RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300,
-                                       kSeed)
+                    .AddGenerated("flights", SeasonOnlyFlightsConfig(), 300,
+                                  kSeed)
                     .ok());
     RoutingService router(&registry);
     ASSERT_EQ(router.AnswerNow("cancelled in February").response.source,
@@ -139,7 +139,7 @@ TEST(DatasetRegistryTest, StaleLearnedSpeechesDiscardedOnConfigChange) {
   {
     DatasetRegistry registry{RegistryOptions{learned_dir}};
     ASSERT_TRUE(
-        registry.RegisterGenerated("flights", changed, 300, kSeed).ok());
+        registry.AddGenerated("flights", changed, 300, kSeed).ok());
     EXPECT_EQ(registry.learned_loaded("flights"), 0u);
     RoutingService router(&registry);
     EXPECT_EQ(router.AnswerNow("cancelled in February").response.source,
@@ -152,8 +152,8 @@ TEST(DatasetRegistryTest, LearnedFilesAccumulateAcrossFlushes) {
   const std::string learned_dir = FreshTempDir("accumulate");
   DatasetRegistry registry{RegistryOptions{learned_dir}};
   ASSERT_TRUE(registry
-                  .RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300,
-                                     kSeed)
+                  .AddGenerated("flights", SeasonOnlyFlightsConfig(), 300,
+                                kSeed)
                   .ok());
   RoutingService router(&registry);
 
@@ -167,8 +167,8 @@ TEST(DatasetRegistryTest, LearnedFilesAccumulateAcrossFlushes) {
   // Both speeches must survive the two-step flush (merge, not overwrite).
   DatasetRegistry reloaded{RegistryOptions{learned_dir}};
   ASSERT_TRUE(reloaded
-                  .RegisterGenerated("flights", SeasonOnlyFlightsConfig(), 300,
-                                     kSeed)
+                  .AddGenerated("flights", SeasonOnlyFlightsConfig(), 300,
+                                kSeed)
                   .ok());
   EXPECT_EQ(reloaded.learned_loaded("flights"), 2u);
 

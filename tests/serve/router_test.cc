@@ -47,10 +47,10 @@ class RoutingServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(
-        registry_.RegisterGenerated("flights", FlightsConfig(), 600, kSeed).ok());
-    ASSERT_TRUE(registry_.RegisterGenerated("acs", AcsConfig(), 400, kSeed).ok());
+        registry_.AddGenerated("flights", FlightsConfig(), 600, kSeed).ok());
+    ASSERT_TRUE(registry_.AddGenerated("acs", AcsConfig(), 400, kSeed).ok());
     ASSERT_TRUE(
-        registry_.RegisterGenerated("primaries", PrimariesConfig(), 400, kSeed)
+        registry_.AddGenerated("primaries", PrimariesConfig(), 400, kSeed)
             .ok());
   }
 
@@ -183,9 +183,9 @@ TEST(RoutingIsolationTest, IdenticalQueryTextIsolatedByFingerprint) {
 
   DatasetRegistry registry;
   ASSERT_TRUE(
-      registry.RegisterGenerated("re_long", long_speeches, 16, kSeed).ok());
+      registry.AddGenerated("re_long", long_speeches, 16, kSeed).ok());
   ASSERT_TRUE(
-      registry.RegisterGenerated("re_short", short_speeches, 16, kSeed).ok());
+      registry.AddGenerated("re_short", short_speeches, 16, kSeed).ok());
 
   RoutingService router(&registry);
   EngineHost* host_long = router.host("re_long");
@@ -227,8 +227,8 @@ TEST(RoutingIsolationTest, IdenticalConfigurationsStillIsolatedByHostName) {
   config.prior = PriorKind::kZero;
 
   DatasetRegistry registry;
-  ASSERT_TRUE(registry.RegisterGenerated("first", config, 16, kSeed).ok());
-  ASSERT_TRUE(registry.RegisterGenerated("second", config, 16, kSeed).ok());
+  ASSERT_TRUE(registry.AddGenerated("first", config, 16, kSeed).ok());
+  ASSERT_TRUE(registry.AddGenerated("second", config, 16, kSeed).ok());
 
   RoutingService router(&registry);
   EngineHost* first = router.host("first");
@@ -243,43 +243,38 @@ TEST(RoutingIsolationTest, IdenticalConfigurationsStillIsolatedByHostName) {
   EXPECT_EQ(router.cache().size(), 2u);
 }
 
-TEST(RoutingBatchTest, ConcurrentDistinctMissesAreBatchedAndCorrect) {
-  // Region queries are outside the season-only configuration, so each
-  // distinct request needs on-demand summarization. Batching must group
-  // concurrent misses without changing any answer.
+TEST(RoutingOnDemandTest, ConcurrentDistinctMissesMatchSequentialAnswers) {
+  // Month queries are outside the season-only configuration, so every
+  // distinct request, on either target, needs its own on-demand solve.
+  // Concurrency must not change any answer.
   Configuration config;
-  config.table = "running_example";
+  config.table = "flights";
   config.dimensions = {"season"};
-  config.targets = {"delay"};
-  config.prior = PriorKind::kZero;
+  config.targets = {"cancelled", "delay_minutes"};
+  config.max_query_predicates = 1;
 
   DatasetRegistry registry;
-  ASSERT_TRUE(registry.RegisterGenerated("re", config, 16, kSeed).ok());
+  ASSERT_TRUE(registry.AddGenerated("flights", config, 600, kSeed).ok());
 
-  const std::vector<std::string> requests = {
-      "delay in the North", "delay in the South", "delay in the East",
-      "delay in the West"};
+  std::vector<std::string> requests;
+  for (const char* month : {"February", "June", "September", "December"}) {
+    requests.push_back(std::string("cancelled in ") + month);
+    requests.push_back(std::string("delay minutes in ") + month);
+  }
 
-  // Expected texts via an unbatched host.
-  RouterOptions unbatched;
-  unbatched.host.batch_on_demand = false;
   std::vector<std::string> expected;
   {
-    RoutingService router(&registry, unbatched);
+    RoutingService sequential(&registry);
     for (const auto& request : requests) {
-      RoutedResponse routed = router.AnswerNow(request);
+      RoutedResponse routed = sequential.AnswerNow(request);
       EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << request;
       expected.push_back(routed.response.text);
     }
-    HostStats stats = router.host("re")->stats();
-    // Unbatched: one pass per on-demand query.
-    EXPECT_EQ(stats.on_demand_passes, requests.size());
-    EXPECT_EQ(stats.on_demand_summaries, requests.size());
   }
 
-  RouterOptions batched;
-  batched.num_threads = 4;
-  RoutingService router(&registry, batched);
+  RouterOptions options;
+  options.num_threads = 4;
+  RoutingService router(&registry, options);
   std::vector<std::future<RoutedResponse>> futures;
   for (const auto& request : requests) futures.push_back(router.Submit(request));
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -287,13 +282,10 @@ TEST(RoutingBatchTest, ConcurrentDistinctMissesAreBatchedAndCorrect) {
     EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << requests[i];
     EXPECT_EQ(routed.response.text, expected[i]) << requests[i];
   }
-  HostStats stats = router.host("re")->stats();
+  // One filter and one solve per distinct miss.
+  HostStats stats = router.host("flights")->stats();
   EXPECT_EQ(stats.on_demand_summaries, requests.size());
-  // Batching can only reduce the pass count (how much is timing-dependent;
-  // the router bench pins a concurrency level and verifies the reduction).
-  EXPECT_LE(stats.on_demand_passes, requests.size());
-  EXPECT_GE(stats.on_demand_passes, 1u);
-  EXPECT_GE(stats.max_batch, 1u);
+  EXPECT_EQ(stats.on_demand_passes, requests.size());
 }
 
 }  // namespace
