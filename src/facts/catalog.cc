@@ -1,8 +1,9 @@
 #include "facts/catalog.h"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 #include <cmath>
+#include <unordered_map>
 
 #include "relational/group_by.h"
 
@@ -29,42 +30,72 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
     }
   }
 
+  std::vector<uint32_t> masks;
+  for (uint32_t mask = 0; mask < (1u << num_dims); ++mask) {
+    int mask_dims = std::popcount(mask);
+    if (mask_dims >= min_fact_dims && mask_dims <= max_fact_dims) masks.push_back(mask);
+  }
+  // Every group holds one CSR entry per row, and offsets and FactIds are
+  // uint32_t.
+  if (!masks.empty() && instance.num_rows > UINT32_MAX / masks.size()) {
+    return Status::Unsupported("fact groups x instance rows exceeds 2^32");
+  }
+
   FactCatalog catalog;
-  uint32_t num_masks = 1u << num_dims;
-  for (uint32_t mask = 0; mask < num_masks; ++mask) {
-    if (std::popcount(mask) > max_fact_dims || std::popcount(mask) < min_fact_dims) {
-      continue;
-    }
+  // Fact ids by the mixed-radix cell of a group's codes. Ids only grow, so an
+  // id below the group's first_fact is stale (an earlier group's) and the
+  // array never needs clearing. Groups with more cells than the cap use a
+  // hash map instead, so a small instance never fills a large array.
+  const size_t max_dense_cells = std::max<size_t>(size_t{1} << 16, 4 * instance.num_rows);
+  std::vector<FactId> dense;
+  // Per-fact row counts at [id + 2], prefix-summed into CSR offsets below.
+  catalog.scope_row_offsets_.assign(2, 0);
+  for (uint32_t mask : masks) {
     FactGroup group;
     group.mask = mask;
+    size_t cards[kMaxGroupDims];
+    size_t cells = 1;  // saturates once above the cap
     for (size_t d = 0; d < num_dims; ++d) {
-      if (mask & (1u << d)) group.dim_positions.push_back(static_cast<int>(d));
+      if (!(mask & (1u << d))) continue;
+      cards[group.dim_positions.size()] = instance.dim_cardinalities[d];
+      if (cells <= max_dense_cells) cells *= instance.dim_cardinalities[d];
+      group.dim_positions.push_back(static_cast<int>(d));
     }
+    const size_t group_dims = group.dim_positions.size();
+    const bool use_dense = cells <= max_dense_cells;
+    if (use_dense && dense.size() < cells) dense.resize(cells, kNoFact);
+    std::unordered_map<uint64_t, FactId> fact_of_key;
     group.first_fact = static_cast<FactId>(catalog.facts_.size());
     group.row_fact.resize(instance.num_rows, kNoFact);
 
     // One pass: assign each row to its value-combination fact, creating
     // facts on first sight and accumulating sum/weight for typical values.
-    std::unordered_map<uint64_t, FactId> fact_of_key;
     std::vector<double> sums;
     ValueId codes[kMaxGroupDims];
     for (size_t r = 0; r < instance.num_rows; ++r) {
-      for (size_t i = 0; i < group.dim_positions.size(); ++i) {
+      size_t cell = 0;
+      for (size_t i = 0; i < group_dims; ++i) {
         codes[i] = instance.CodeAt(r, static_cast<size_t>(group.dim_positions[i]));
+        if (codes[i] >= cards[i]) {
+          return Status::InvalidArgument("instance code beyond its dimension's cardinality");
+        }
+        cell = cell * cards[i] + codes[i];
       }
-      uint64_t key =
-          PackGroupKey(std::span<const ValueId>(codes, group.dim_positions.size()));
-      auto [it, inserted] =
-          fact_of_key.emplace(key, static_cast<FactId>(catalog.facts_.size()));
-      if (inserted) {
+      std::span<const ValueId> key_codes(codes, group_dims);
+      FactId& id = use_dense ? dense[cell]
+                             : fact_of_key.try_emplace(PackGroupKey(key_codes), kNoFact)
+                                   .first->second;
+      if (id == kNoFact || id < group.first_fact) {
+        id = static_cast<FactId>(catalog.facts_.size());
         Fact fact;
         fact.group = static_cast<uint32_t>(catalog.groups_.size());
-        fact.packed = key;
+        fact.packed = PackGroupKey(key_codes);
         catalog.facts_.push_back(fact);
         sums.push_back(0.0);
+        catalog.scope_row_offsets_.push_back(0);
       }
-      FactId id = it->second;
       group.row_fact[r] = id;
+      ++catalog.scope_row_offsets_[id + 2];
       double w = instance.weight[r];
       catalog.facts_[id].scope_weight += w;
       sums[id - group.first_fact] += instance.target[r] * w;
@@ -74,7 +105,6 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
       Fact& fact = catalog.facts_[group.first_fact + i];
       fact.value = fact.scope_weight > 0.0 ? sums[i] / fact.scope_weight : 0.0;
     }
-    catalog.mask_to_group_.emplace(mask, static_cast<uint32_t>(catalog.groups_.size()));
     catalog.groups_.push_back(std::move(group));
   }
 
@@ -90,12 +120,6 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   // its reference paths when HasScopeBits() is false.
   catalog.has_scope_bits_ = num_facts * words <= kMaxScopeBitsWords;
   if (catalog.has_scope_bits_) catalog.scope_bits_.assign(num_facts * words, 0);
-  catalog.scope_row_offsets_.assign(num_facts + 2, 0);
-  for (const FactGroup& group : catalog.groups_) {
-    for (size_t r = 0; r < instance.num_rows; ++r) {
-      ++catalog.scope_row_offsets_[group.row_fact[r] + 2];
-    }
-  }
   for (size_t i = 2; i < catalog.scope_row_offsets_.size(); ++i) {
     catalog.scope_row_offsets_[i] += catalog.scope_row_offsets_[i - 1];
   }
@@ -126,8 +150,10 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
 }
 
 int FactCatalog::GroupIndexForMask(uint32_t mask) const {
-  auto it = mask_to_group_.find(mask);
-  return it == mask_to_group_.end() ? -1 : static_cast<int>(it->second);
+  // Groups are built in ascending mask order.
+  auto it = std::lower_bound(groups_.begin(), groups_.end(), mask,
+                             [](const FactGroup& g, uint32_t m) { return g.mask < m; });
+  return it != groups_.end() && it->mask == mask ? static_cast<int>(it - groups_.begin()) : -1;
 }
 
 bool FactCatalog::RowInScope(size_t row, FactId id) const {

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "facts/instance.h"
@@ -44,6 +43,9 @@ struct FactGroup {
 };
 
 /// \brief All candidate facts for one summarization instance.
+///
+/// Build makes one pass per group over the instance rows (fact ids, typical
+/// values and per-fact row counts) and one pass that fills the CSR/SoA tables.
 class FactCatalog {
  public:
   /// Enumerates facts restricting between `min_fact_dims` and
@@ -51,7 +53,11 @@ class FactCatalog {
   /// group contributes the single "overall" fact (the paper's speeches use
   /// it, e.g. "It is 35 overall" in Table II); pass min_fact_dims = 1 to
   /// restrict to specific subsets as the paper's running example does.
-  /// Requires max_fact_dims <= kMaxGroupDims and <= 31 instance dimensions.
+  /// Requires max_fact_dims <= kMaxGroupDims, <= 31 instance dimensions,
+  /// num_groups * num_rows < 2^32 and codes below their dim_cardinalities.
+  /// Fact ids follow first-seen row order in each group, looked up by the
+  /// mixed-radix cell of a row's codes in a flat array, or in a hash map
+  /// when the group has more than max(2^16, 4 * num_rows) cells.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
                                    int min_fact_dims = 0);
 
@@ -137,7 +143,6 @@ class FactCatalog {
  private:
   std::vector<FactGroup> groups_;
   std::vector<Fact> facts_;
-  std::unordered_map<uint32_t, uint32_t> mask_to_group_;
   /// Per-fact row membership, precomputed once from the scope joins: flat
   /// num_facts x scope_words_ bitset plus the same sets as CSR row lists
   /// (exactly num_groups * num_rows entries -- each group partitions rows).

@@ -43,7 +43,7 @@ struct RegistryOptions {
   /// Directory for persisted on-demand speeches ("<dir>/<name>.learned.json",
   /// SpeechStore JSON form). Empty disables persistence. Created on first
   /// save if missing.
-  std::string learned_dir;
+  std::string learned_dir{};
   /// Where registry metrics go (add/remove durations, snapshot version and
   /// dataset-count gauges). nullptr = obs::MetricsRegistry::Global().
   obs::MetricsRegistry* metrics = nullptr;
