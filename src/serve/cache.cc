@@ -26,10 +26,8 @@ double SteadySeconds() {
 }  // namespace
 
 ShardedSummaryCache::ShardedSummaryCache(size_t capacity, size_t num_shards,
-                                         Clock clock, size_t byte_budget,
-                                         double max_entry_fraction)
-    : byte_budget_(byte_budget),
-      clock_(clock ? std::move(clock) : Clock(&SteadySeconds)) {
+                                         Clock clock)
+    : clock_(clock ? std::move(clock) : Clock(&SteadySeconds)) {
   capacity_ = std::max<size_t>(1, capacity);
   num_shards = RoundUpToPowerOfTwo(std::max<size_t>(1, num_shards));
   // More shards than entries would leave shards with zero budget.
@@ -38,36 +36,12 @@ ShardedSummaryCache::ShardedSummaryCache(size_t capacity, size_t num_shards,
   // first (capacity_ % num_shards) shards take one extra entry.
   size_t base = capacity_ / num_shards;
   size_t remainder = capacity_ % num_shards;
-  // Keys hash uniformly onto shards, so an equal byte slice per shard keeps
-  // the global budget within one entry's size of exact.
-  size_t byte_slice = byte_budget > 0 ? std::max<size_t>(1, byte_budget / num_shards)
-                                      : 0;
-  // Admission ceiling: an entry bigger than this fraction of the slice is
-  // refused instead of admitted-then-evicting-the-shard.
-  size_t max_entry_bytes =
-      (byte_slice > 0 && max_entry_fraction > 0.0)
-          ? static_cast<size_t>(static_cast<double>(byte_slice) * max_entry_fraction)
-          : 0;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->capacity = base + (i < remainder ? 1 : 0);
-    shard->byte_budget = byte_slice;
-    shard->max_entry_bytes = max_entry_bytes;
     shards_.push_back(std::move(shard));
   }
-}
-
-size_t ShardedSummaryCache::EstimateEntryBytes(const std::string& key,
-                                               const ServedAnswerPtr& answer,
-                                               const std::string& owner) {
-  // Key is stored twice (recency list + map), plus list/map node overhead.
-  size_t bytes = 2 * key.capacity() + sizeof(Entry) + 4 * sizeof(void*);
-  if (answer != nullptr) bytes += sizeof(ServedAnswer) + answer->text.capacity();
-  // The owner tag is copied into the entry (every tagged entry of a host
-  // carries the same fingerprint string).
-  bytes += owner.capacity();
-  return bytes;
 }
 
 size_t ShardedSummaryCache::ShardIndex(const std::string& key) const {
@@ -76,24 +50,8 @@ size_t ShardedSummaryCache::ShardIndex(const std::string& key) const {
 
 void ShardedSummaryCache::EraseEntry(Shard* shard,
                                      std::list<Entry>::iterator it) {
-  shard->bytes -= it->bytes;
-  if (it->account != nullptr) {
-    // relaxed: exact bookkeeping -- every entry debits precisely the bytes
-    // it credited at insert, so the account can never underflow; the tally
-    // needs no ordering with the shard contents (the shard lock has that).
-    it->account->bytes.fetch_sub(it->bytes, std::memory_order_relaxed);
-  }
   shard->index.erase(it->key);
   shard->lru.erase(it);
-}
-
-ShardedSummaryCache::OwnerAccountPtr ShardedSummaryCache::AccountFor(
-    const std::string& owner) {
-  if (owner.empty()) return nullptr;
-  MutexLock lock(owners_mutex_);
-  auto& slot = owners_[owner];
-  if (slot == nullptr) slot = std::make_shared<OwnerAccount>();
-  return slot;
 }
 
 void ShardedSummaryCache::AttachMetrics(obs::MetricsRegistry* metrics) {
@@ -146,7 +104,7 @@ ServedAnswerPtr ShardedSummaryCache::GetStale(const std::string& key,
   Shard& shard = *shards_[ShardIndex(key)];
   MutexLock lock(shard.mutex);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  if (it == shard.index.end() || !it->second->answer->answered) {
     ++shard.stats.misses;
     return nullptr;
   }
@@ -160,113 +118,25 @@ ServedAnswerPtr ShardedSummaryCache::GetStale(const std::string& key,
   return it->second->answer;
 }
 
-bool ShardedSummaryCache::Put(const std::string& key, ServedAnswerPtr answer,
-                              double ttl_seconds, const std::string& owner,
-                              size_t owner_byte_quota) {
+void ShardedSummaryCache::Put(const std::string& key, ServedAnswerPtr answer,
+                              double ttl_seconds) {
   double expires_at = ttl_seconds > 0.0 ? Now() + ttl_seconds : 0.0;
-  size_t bytes = EstimateEntryBytes(key, answer, owner);
-  OwnerAccountPtr account = AccountFor(owner);
   Shard& shard = *shards_[ShardIndex(key)];
-  {
-    MutexLock lock(shard.mutex);
-    // Admission control: refuse an entry that would claim more than its
-    // configured share of the slice. Rejecting (rather than admitting and
-    // letting the byte loop run) keeps one oversized rendered answer from
-    // flushing the shard's whole working set; a pre-existing entry under the
-    // same key stays as it was.
-    if (shard.max_entry_bytes > 0 && bytes > shard.max_entry_bytes) {
-      ++shard.stats.admission_rejects;
-      return false;
-    }
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      Entry& entry = *it->second;
-      // Re-point the byte accounting (shard total and owner account) at the
-      // new value; the previous incarnation may belong to another owner.
-      // relaxed: owner accounts are plain byte tallies (see EraseEntry).
-      shard.bytes -= entry.bytes;
-      shard.bytes += bytes;
-      if (entry.account != nullptr) {
-        entry.account->bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);
-      }
-      if (account != nullptr) {
-        account->bytes.fetch_add(bytes, std::memory_order_relaxed);
-      }
-      entry.answer = std::move(answer);
-      entry.expires_at = expires_at;
-      entry.bytes = bytes;
-      entry.owner = owner;
-      entry.account = account;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    } else {
-      if (shard.lru.size() >= shard.capacity) {
-        EraseEntry(&shard, std::prev(shard.lru.end()));
-        ++shard.stats.evictions;
-      }
-      shard.lru.emplace_front(
-          Entry{key, std::move(answer), expires_at, bytes, owner, account});
-      shard.index.emplace(key, shard.lru.begin());
-      shard.bytes += bytes;
-      if (account != nullptr) {
-        account->bytes.fetch_add(bytes, std::memory_order_relaxed);
-      }
-      ++shard.stats.insertions;
-    }
-    // Size-aware eviction: drop LRU entries until back under the byte slice.
-    // The just-touched entry (front) always survives its own Put, so one
-    // oversized answer occupies the shard alone rather than wedging the loop.
-    if (shard.byte_budget > 0) {
-      while (shard.bytes > shard.byte_budget && shard.lru.size() > 1) {
-        EraseEntry(&shard, std::prev(shard.lru.end()));
-        ++shard.stats.evictions;
-        ++shard.stats.byte_evictions;
-      }
-    }
+  MutexLock lock(shard.mutex);
+  auto it = shard.index.find(key);
+  if (it != shard.index.end()) {
+    it->second->answer = std::move(answer);
+    it->second->expires_at = expires_at;
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    return;
   }
-  // Per-owner quota, enforced against the owner's bytes summed across ALL
-  // shards (not per-shard slices, which degenerate once quota/num_shards
-  // drops below one entry). Runs after this shard's lock is released and
-  // takes one shard lock at a time, so no two shard locks are ever nested.
-  // relaxed: the quota probe tolerates a stale tally; EnforceOwnerQuota
-  // re-reads before every eviction.
-  if (account != nullptr && owner_byte_quota > 0 &&
-      account->bytes.load(std::memory_order_relaxed) > owner_byte_quota) {
-    EnforceOwnerQuota(owner, account.get(), owner_byte_quota, key);
+  if (shard.lru.size() >= shard.capacity) {
+    EraseEntry(&shard, std::prev(shard.lru.end()));
+    ++shard.stats.evictions;
   }
-  return true;
-}
-
-void ShardedSummaryCache::EnforceOwnerQuota(const std::string& owner,
-                                            OwnerAccount* account, size_t quota,
-                                            const std::string& protect_key) {
-  // Victim order approximates global LRU: each shard's tail-to-front walk
-  // evicts the owner's locally oldest entries first, and the account is
-  // re-read before every eviction so the walk stops the moment the owner
-  // fits (concurrent Puts of the same owner may both run this; each evicts
-  // only while still over quota). The just-inserted entry (protect_key) is
-  // never evicted, so a quota below one entry keeps exactly the newest
-  // answer rather than wedging or thrashing.
-  // relaxed: the tally is re-read on every iteration (still unordered -- it
-  // is a plain sum), so the walk stops as soon as the owner fits.
-  for (auto& shard_ptr : shards_) {
-    if (account->bytes.load(std::memory_order_relaxed) <= quota) return;
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mutex);
-    if (shard.lru.empty()) continue;
-    auto entry = std::prev(shard.lru.end());
-    for (;;) {
-      if (account->bytes.load(std::memory_order_relaxed) <= quota) break;
-      bool at_front = entry == shard.lru.begin();
-      auto next_newer = at_front ? entry : std::prev(entry);
-      if (entry->owner == owner && entry->key != protect_key) {
-        EraseEntry(&shard, entry);
-        ++shard.stats.evictions;
-        ++shard.stats.quota_evictions;
-      }
-      if (at_front) break;
-      entry = next_newer;
-    }
-  }
+  shard.lru.emplace_front(Entry{key, std::move(answer), expires_at});
+  shard.index.emplace(key, shard.lru.begin());
+  ++shard.stats.insertions;
 }
 
 bool ShardedSummaryCache::Contains(const std::string& key) const {
@@ -304,36 +174,12 @@ size_t ShardedSummaryCache::CountPrefix(const std::string& prefix) const {
   return count;
 }
 
-size_t ShardedSummaryCache::OwnerBytes(const std::string& owner) const {
-  MutexLock lock(owners_mutex_);
-  // relaxed: plain byte tally (see EraseEntry).
-  auto it = owners_.find(owner);
-  return it != owners_.end() ? it->second->bytes.load(std::memory_order_relaxed)
-                             : 0;
-}
-
 void ShardedSummaryCache::Clear() {
   for (auto& shard : shards_) {
     MutexLock lock(shard->mutex);
-    // relaxed: debiting the tallies back; the shard lock orders the clear.
-    for (const Entry& entry : shard->lru) {
-      if (entry.account != nullptr) {
-        entry.account->bytes.fetch_sub(entry.bytes, std::memory_order_relaxed);
-      }
-    }
     shard->lru.clear();
     shard->index.clear();
-    shard->bytes = 0;
   }
-}
-
-size_t ShardedSummaryCache::TotalBytes() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mutex);
-    total += shard->bytes;
-  }
-  return total;
 }
 
 CacheStats ShardedSummaryCache::TotalStats() const {
@@ -345,9 +191,6 @@ CacheStats ShardedSummaryCache::TotalStats() const {
     total.insertions += shard->stats.insertions;
     total.evictions += shard->stats.evictions;
     total.expirations += shard->stats.expirations;
-    total.byte_evictions += shard->stats.byte_evictions;
-    total.admission_rejects += shard->stats.admission_rejects;
-    total.quota_evictions += shard->stats.quota_evictions;
     total.stale_serves += shard->stats.stale_serves;
   }
   return total;

@@ -35,17 +35,7 @@ struct CacheStats {
   /// Entries dropped because their TTL had elapsed at lookup time (each such
   /// lookup also counts as a miss).
   uint64_t expirations = 0;
-  /// Subset of `evictions` forced by the byte budget rather than the entry
-  /// capacity (size-aware eviction).
-  uint64_t byte_evictions = 0;
-  /// Puts refused by admission control: the encoded entry exceeded
-  /// `max_entry_fraction` of its shard's byte slice, so admitting it would
-  /// have evicted a disproportionate share of the shard.
-  uint64_t admission_rejects = 0;
-  /// Subset of `evictions` forced by a per-owner byte quota rather than the
-  /// shared budget (per-dataset cache quotas in the serving layer).
-  uint64_t quota_evictions = 0;
-  /// TTL-expired entries deliberately served anyway via GetStale (overload
+  /// TTL-expired answers deliberately served anyway via GetStale (overload
   /// control prefers a stale answer over shedding the request). Not counted
   /// as hits, misses or expirations.
   uint64_t stale_serves = 0;
@@ -63,6 +53,11 @@ struct CacheStats {
 /// map and counters under one mutex, so concurrent requests for different
 /// keys rarely contend. Values are shared_ptrs to immutable answers: a Get
 /// may outlive the entry's eviction without copying.
+///
+/// The entry count is the cache's one memory bound: a rendered answer is a
+/// few spoken sentences, so `capacity` bounds the footprint without
+/// per-entry byte accounting. Freshness is per entry (a TTL), and GetStale
+/// lets overload control serve an expired answer instead of shedding.
 class ShardedSummaryCache {
  public:
   /// Monotonic clock in seconds; injectable so tests can control expiry.
@@ -72,21 +67,9 @@ class ShardedSummaryCache {
   /// this value (each shard holds at least one entry). Shard count is
   /// rounded up to a power of two for mask-based routing, then halved while
   /// it exceeds the capacity. A default-constructed `clock` reads the steady
-  /// clock. `byte_budget` (0 = unlimited) bounds the total approximate heap
-  /// bytes across all shards: each shard gets an equal slice and evicts LRU
-  /// entries until back under it, so a few huge rendered answers cannot
-  /// monopolize memory that thousands of typical ones would share. The
-  /// newest entry of a shard is never evicted on its own insert, so without
-  /// admission control an entry larger than the whole slice occupies it
-  /// alone until the next insert. `max_entry_fraction` (0 = admit
-  /// everything) is that admission control: when both it and `byte_budget`
-  /// are positive, a Put whose estimated entry size exceeds
-  /// `max_entry_fraction * (byte_budget / num_shards)` is rejected outright
-  /// -- the shard keeps what it has instead of evicting half its working set
-  /// for one oversized rendered answer (`admission_rejects` counts these).
+  /// clock.
   explicit ShardedSummaryCache(size_t capacity, size_t num_shards = 16,
-                               Clock clock = {}, size_t byte_budget = 0,
-                               double max_entry_fraction = 0.0);
+                               Clock clock = {});
 
   ShardedSummaryCache(const ShardedSummaryCache&) = delete;
   ShardedSummaryCache& operator=(const ShardedSummaryCache&) = delete;
@@ -96,12 +79,14 @@ class ShardedSummaryCache {
   /// expiration), so negative results age out and can be recomputed.
   ServedAnswerPtr Get(const std::string& key);
 
-  /// Overload-control lookup: like Get, but a TTL-expired entry is RETURNED
+  /// Overload-control lookup: like Get, but a TTL-expired answer is RETURNED
   /// (with `*was_stale` set and `stale_serves` counted) instead of dropped,
   /// so the serving layer can answer with yesterday's speech rather than
   /// shed the request. The expired entry stays in place -- recency is still
   /// refreshed -- and the next regular Get expires it as usual once pressure
-  /// subsides. A fresh entry behaves exactly like Get (counts as a hit).
+  /// subsides. A fresh answer behaves exactly like Get (counts as a hit).
+  /// A cached apology (`answered == false`) is never served under pressure,
+  /// so it counts as a miss and returns nullptr, fresh or expired.
   ServedAnswerPtr GetStale(const std::string& key, bool* was_stale);
 
   /// Inserts (or replaces) the answer for `key`, evicting the shard's least
@@ -109,26 +94,8 @@ class ShardedSummaryCache {
   /// entry never expires (LRU eviction only); a positive TTL bounds how long
   /// the entry may be served -- the serving layer uses this for unanswerable
   /// (negative) results, so a store or registry that later learns an answer
-  /// is not shadowed by a stale apology forever.
-  ///
-  /// `owner` tags the entry with the dataset (host fingerprint) it belongs
-  /// to; with a positive `owner_byte_quota` the cache evicts that owner's
-  /// own LRU entries -- and only those -- until the owner's bytes SUMMED
-  /// ACROSS ALL SHARDS fit the quota (`quota_evictions`), so one dataset's
-  /// answers cannot crowd every other dataset out of the shared cache.
-  /// Enforcement is global (a per-owner atomic byte account), not per-shard
-  /// slices, so a quota smaller than num_shards x entry size still bounds
-  /// occupancy instead of degenerating (the old slice scheme kept up to one
-  /// entry PER SHARD). Victims are found by walking shards in order and
-  /// evicting the owner's per-shard LRU tails -- approximate global LRU.
-  /// The entry being Put is itself never evicted, so an owner whose quota
-  /// is below one entry keeps exactly its newest answer. An empty owner is
-  /// untracked.
-  ///
-  /// Returns false when admission control rejected the entry (see the
-  /// constructor); an existing entry under `key` is left untouched then.
-  bool Put(const std::string& key, ServedAnswerPtr answer, double ttl_seconds = 0.0,
-           const std::string& owner = std::string(), size_t owner_byte_quota = 0);
+  /// is not shadowed by a stale apology forever. `answer` must not be null.
+  void Put(const std::string& key, ServedAnswerPtr answer, double ttl_seconds = 0.0);
 
   /// True if present and not expired, without touching recency or counters.
   bool Contains(const std::string& key) const;
@@ -142,10 +109,6 @@ class ShardedSummaryCache {
   /// Entries currently cached under `prefix` (counters untouched; exposed so
   /// tests can assert purge completeness).
   size_t CountPrefix(const std::string& prefix) const;
-
-  /// Approximate bytes currently held for `owner` across all shards (O(1):
-  /// reads the owner's global byte account).
-  size_t OwnerBytes(const std::string& owner) const;
 
   /// Starts recording per-lookup latency into `metrics` (histogram
   /// "vq_cache_lookup_seconds"). Idempotent; pass the registry the owning
@@ -163,42 +126,16 @@ class ShardedSummaryCache {
   size_t size() const;
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
-  size_t byte_budget() const { return byte_budget_; }
-
-  /// Approximate bytes currently held across all shards.
-  size_t TotalBytes() const;
-
-  /// Approximate heap footprint charged for one entry (key + rendered text
-  /// + owner tag + node bookkeeping); exposed so tests can reason about the
-  /// budget.
-  static size_t EstimateEntryBytes(const std::string& key,
-                                   const ServedAnswerPtr& answer,
-                                   const std::string& owner = std::string());
 
   /// Shard a key routes to (exposed so tests can pin keys to shards).
   size_t ShardIndex(const std::string& key) const;
 
  private:
-  /// Global (cross-shard) byte account of one owner. Entries credit/debit
-  /// it atomically under their shard's lock; quota enforcement reads it
-  /// lock-free, so the summed total is always coherent even though no lock
-  /// covers all shards at once.
-  struct OwnerAccount {
-    std::atomic<size_t> bytes{0};
-  };
-  using OwnerAccountPtr = std::shared_ptr<OwnerAccount>;
-
   struct Entry {
     std::string key;
     ServedAnswerPtr answer;
     /// Absolute expiry on the cache clock; 0 = never expires.
     double expires_at = 0.0;
-    /// EstimateEntryBytes at insert time (the answer is immutable).
-    size_t bytes = 0;
-    /// Dataset tag for per-owner quotas; empty = untracked.
-    std::string owner;
-    /// The owner's global byte account (null for untracked entries).
-    OwnerAccountPtr account;
   };
   struct Shard {
     mutable Mutex mutex;
@@ -208,45 +145,23 @@ class ShardedSummaryCache {
     std::unordered_map<std::string, std::list<Entry>::iterator> index
         GUARDED_BY(mutex);
     CacheStats stats GUARDED_BY(mutex);
-    // Budgets below are set once at construction, before the shard is
-    // visible to any other thread; no lock needed thereafter.
+    /// Set once at construction, before the shard is visible to any other
+    /// thread; no lock needed thereafter.
     size_t capacity = 0;
-    size_t byte_budget = 0;     ///< 0 = unlimited
-    size_t max_entry_bytes = 0; ///< admission ceiling; 0 = admit everything
-    size_t bytes GUARDED_BY(mutex) = 0;  ///< sum of Entry::bytes
   };
 
-  /// Unlinks one entry from the shard's list/map/byte accounting, debiting
-  /// the owner's global account (counters are the caller's job: eviction vs
-  /// expiration vs purge).
+  /// Unlinks one entry from the shard's list and map (counters are the
+  /// caller's job: eviction vs expiration vs purge).
   static void EraseEntry(Shard* shard, std::list<Entry>::iterator it)
       REQUIRES(shard->mutex);
-
-  /// Find-or-create the global byte account for `owner` (nullptr if empty).
-  OwnerAccountPtr AccountFor(const std::string& owner);
-
-  /// Evicts `owner`'s LRU entries shard by shard (locking ONE shard at a
-  /// time, after the Put released its own shard's lock) until the owner's
-  /// global account fits `quota`; never evicts `protect_key`.
-  void EnforceOwnerQuota(const std::string& owner, OwnerAccount* account,
-                         size_t quota, const std::string& protect_key);
 
   ServedAnswerPtr GetImpl(const std::string& key);
 
   double Now() const { return clock_(); }
 
   size_t capacity_;
-  size_t byte_budget_;
   Clock clock_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /// Owner tag -> global byte account. Accounts persist for the cache's
-  /// lifetime (one per dataset fingerprint; churn adds a few dozen strings,
-  /// never hot-path work). Never held together with a Shard::mutex:
-  /// AccountFor returns before Put takes its shard lock.
-  mutable Mutex owners_mutex_;
-  std::unordered_map<std::string, OwnerAccountPtr> owners_
-      GUARDED_BY(owners_mutex_);
 
   /// Set once by AttachMetrics (atomic: Get() may race with attachment).
   std::atomic<obs::LatencyHistogram*> lookup_hist_{nullptr};

@@ -44,7 +44,6 @@ HostOptions HostOverrides::ApplyTo(HostOptions base) const {
   if (record_learned) base.record_learned = *record_learned;
   if (max_concurrent_solves) base.max_concurrent_solves = *max_concurrent_solves;
   if (max_pending_requests) base.max_pending_requests = *max_pending_requests;
-  if (cache_byte_quota) base.cache_byte_quota = *cache_byte_quota;
   if (simulated_vocalize_seconds) {
     base.simulated_vocalize_seconds = *simulated_vocalize_seconds;
   }
@@ -186,11 +185,9 @@ ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
             // may be answerable with time: neither is cached.
             bool starved = deadline != nullptr && deadline->Expired();
             if (answer->answered && !answer->degraded) {
-              cache_->Put(key, answer, options_.answer_ttl_seconds,
-                          fingerprint_, options_.cache_byte_quota);
+              cache_->Put(key, answer, options_.answer_ttl_seconds);
             } else if (!answer->answered && !starved) {
-              cache_->Put(key, answer, options_.unanswerable_ttl_seconds,
-                          fingerprint_, options_.cache_byte_quota);
+              cache_->Put(key, answer, options_.unanswerable_ttl_seconds);
             }
           }
           coalescer_->Fulfill(key, answer);
@@ -245,7 +242,7 @@ void EngineHost::ServeCachedOrApology(ServeResponse* response,
                                       ServeStatus fallback_status) {
   bool was_stale = false;
   ServedAnswerPtr cached = cache_->GetStale(key, &was_stale);
-  if (cached != nullptr && cached->answered) {
+  if (cached != nullptr) {
     response->text = cached->text;
     response->source = cached->source;
     response->answered = true;

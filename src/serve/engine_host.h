@@ -71,14 +71,6 @@ struct HostOptions {
   /// without bound. Complements `max_concurrent_solves`, which bounds the
   /// compute-heavy solves but still parks excess requests on its gate.
   size_t max_pending_requests = 0;
-  /// Per-dataset byte quota inside the shared answer cache (0 = none): the
-  /// cache evicts this host's own LRU entries once its tagged bytes exceed
-  /// the quota, so per-dataset policies bound cache occupancy independently
-  /// of the global byte budget. Enforced against the owner's SUMMED bytes
-  /// across all shards (a global per-owner account), so small quotas work
-  /// regardless of shard count; the just-inserted entry itself is never
-  /// evicted (see ShardedSummaryCache::Put).
-  size_t cache_byte_quota = 0;
   /// Artificial per-request vocalization/transport latency, applied after
   /// the answer is published. Stands in for the TTS + network time of a real
   /// deployment; benches use it to measure how well workers overlap waiting.
@@ -108,7 +100,6 @@ struct HostOverrides {
   std::optional<bool> record_learned;
   std::optional<size_t> max_concurrent_solves;
   std::optional<size_t> max_pending_requests;
-  std::optional<size_t> cache_byte_quota;
   std::optional<double> simulated_vocalize_seconds;
   std::optional<uint32_t> trace_samples_per_second;
   std::optional<double> slow_trace_seconds;
@@ -295,9 +286,10 @@ class EngineHost {
   /// target, so it is computed once per target and reused by every solve.
   double GlobalAveragePrior(int target_index);
 
-  /// Fills `response` from whatever is cached under `key` -- fresh (kOk) or
+  /// Fills `response` from the answer cached under `key` -- fresh (kOk) or
   /// TTL-expired (stale, kDegraded) -- or with the apology matching
-  /// `fallback_status` (kShed / kTimeout) when nothing usable is cached.
+  /// `fallback_status` (kShed / kTimeout) when no answer is cached (a cached
+  /// apology does not count; see ShardedSummaryCache::GetStale).
   void ServeCachedOrApology(ServeResponse* response, const std::string& key,
                             ServeStatus fallback_status);
 

@@ -79,7 +79,7 @@ struct DatasetEntry {
   /// entry's host. Only the fields explicitly set in the overrides change;
   /// every unset field keeps the fleet value -- so a policy that only caps
   /// max_concurrent_solves still inherits the fleet's negative-result TTL,
-  /// on-demand switch, cache quota, etc. See HostOverrides::ApplyTo.
+  /// on-demand switch, trace sampling, etc. See HostOverrides::ApplyTo.
   std::optional<HostOverrides> policy;
 };
 

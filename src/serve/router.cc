@@ -13,8 +13,7 @@ RoutingService::RoutingService(const DatasetRegistry* registry,
                                RouterOptions options)
     : registry_(registry),
       options_(options),
-      cache_(options.cache_capacity, options.cache_shards, {},
-             options.cache_byte_budget, options.cache_max_entry_fraction),
+      cache_(options.cache_capacity, options.cache_shards),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::MetricsRegistry::Global()),
       request_hist_(metrics_->GetHistogram("vq_router_request_seconds")),
@@ -595,13 +594,8 @@ void RoutingService::ExportMetrics(obs::MetricsRegistry& into) const {
   into.SetCounter("vq_cache_insertions_total", cache_stats.insertions);
   into.SetCounter("vq_cache_evictions_total", cache_stats.evictions);
   into.SetCounter("vq_cache_expirations_total", cache_stats.expirations);
-  into.SetCounter("vq_cache_byte_evictions_total", cache_stats.byte_evictions);
-  into.SetCounter("vq_cache_admission_rejects_total",
-                  cache_stats.admission_rejects);
-  into.SetCounter("vq_cache_quota_evictions_total", cache_stats.quota_evictions);
   into.SetCounter("vq_cache_stale_serves_total", cache_stats.stale_serves);
   into.SetGauge("vq_cache_entries", static_cast<double>(cache_.size()));
-  into.SetGauge("vq_cache_bytes", static_cast<double>(cache_.TotalBytes()));
 
   into.SetCounter("vq_coalescer_leaders_total", coalescer_.leaders());
   into.SetCounter("vq_coalescer_coalesced_total", coalescer_.coalesced());

@@ -42,18 +42,11 @@ namespace serve {
 struct RouterOptions {
   /// Worker threads shared by all hosts. 0 picks hardware concurrency.
   size_t num_threads = 4;
-  /// Total rendered-answer cache entries across all shards (shared).
+  /// Total rendered-answer cache entries across all shards (shared by every
+  /// dataset). The entry count is the cache's only memory bound; per-dataset
+  /// freshness comes from the host TTLs.
   size_t cache_capacity = 1 << 14;
   size_t cache_shards = 16;
-  /// Approximate byte budget for the shared cache (size-aware LRU
-  /// eviction); 0 = entry-count eviction only.
-  size_t cache_byte_budget = 0;
-  /// Admission ceiling as a fraction of a shard's byte slice: a rendered
-  /// answer bigger than this share is refused instead of evicting half the
-  /// shard (see ShardedSummaryCache; 0.5 is a reasonable setting). Opt-in
-  /// (0 = admit everything) so existing byte-budget deployments keep
-  /// caching the answers they always cached.
-  double cache_max_entry_fraction = 0.0;
   /// Fleet-wide default per-host behavior; a dataset with a registry policy
   /// (DatasetEntry::policy) merges its explicitly-set fields OVER this base
   /// (HostOverrides::ApplyTo). The default enables a bounded TTL on negative

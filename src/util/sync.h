@@ -31,9 +31,7 @@
 //        -> host learned_mutex_      (drain of a retired host's speeches)
 //          -> registry save_mutex_   (learned-file read-merge-write)
 //        -> cache Shard::mutex       (fingerprint purge, one shard at a time)
-//      cache owners_mutex_ and Shard::mutex are never held together (the
-//      owner account is resolved before Put takes its shard lock), and no
-//      two Shard::mutex instances ever nest.
+//      no two cache Shard::mutex instances ever nest.
 //      host gate / prior / perf mutexes: leaves, never nested.
 //
 //  - Escapes:   NO_THREAD_SAFETY_ANALYSIS is allowed ONLY with a written

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <thread>
@@ -17,6 +16,14 @@ ServedAnswerPtr MakeAnswer(const std::string& text) {
   answer->text = text;
   answer->answered = true;
   answer->source = AnswerSource::kStoreExact;
+  return answer;
+}
+
+ServedAnswerPtr MakeApology(const std::string& text) {
+  auto answer = std::make_shared<ServedAnswer>();
+  answer->text = text;
+  answer->answered = false;
+  answer->source = AnswerSource::kUnanswerable;
   return answer;
 }
 
@@ -174,186 +181,6 @@ TEST(ShardedSummaryCacheTest, TtlExpiresEntriesOnTheInjectedClock) {
   ASSERT_NE(cache.Get("positive"), nullptr);
 }
 
-TEST(ShardedSummaryCacheTest, ByteBudgetEvictsLruUntilUnderBudget) {
-  // Single shard so LRU order is deterministic. Budget fits roughly three
-  // small entries but not four.
-  ServedAnswerPtr small = MakeAnswer(std::string(50, 's'));
-  size_t entry_bytes = ShardedSummaryCache::EstimateEntryBytes("a", small);
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/1, {},
-                            /*byte_budget=*/3 * entry_bytes + entry_bytes / 2);
-  cache.Put("a", MakeAnswer(std::string(50, 's')));
-  cache.Put("b", MakeAnswer(std::string(50, 's')));
-  cache.Put("c", MakeAnswer(std::string(50, 's')));
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.TotalStats().byte_evictions, 0u);
-  ASSERT_NE(cache.Get("a"), nullptr);  // refresh "a": "b" is now LRU
-  cache.Put("d", MakeAnswer(std::string(50, 's')));
-  EXPECT_TRUE(cache.Contains("a"));
-  EXPECT_FALSE(cache.Contains("b"));  // evicted by bytes, not entry count
-  EXPECT_TRUE(cache.Contains("c"));
-  EXPECT_TRUE(cache.Contains("d"));
-  CacheStats stats = cache.TotalStats();
-  EXPECT_EQ(stats.byte_evictions, 1u);
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_LE(cache.TotalBytes(), cache.byte_budget());
-}
-
-TEST(ShardedSummaryCacheTest, OversizedEntryDisplacesEverythingButSurvives) {
-  ServedAnswerPtr small = MakeAnswer("s");
-  size_t small_bytes = ShardedSummaryCache::EstimateEntryBytes("a", small);
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/1, {},
-                            /*byte_budget=*/4 * small_bytes);
-  cache.Put("a", MakeAnswer("s"));
-  cache.Put("b", MakeAnswer("s"));
-  EXPECT_EQ(cache.size(), 2u);
-  // One rendered answer bigger than the whole budget: everything else is
-  // evicted; the newest entry itself is never evicted on its own Put.
-  cache.Put("huge", MakeAnswer(std::string(64 * small_bytes, 'h')));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.Contains("huge"));
-  EXPECT_FALSE(cache.Contains("a"));
-  EXPECT_FALSE(cache.Contains("b"));
-  EXPECT_GT(cache.TotalBytes(), cache.byte_budget());
-  EXPECT_EQ(cache.TotalStats().byte_evictions, 2u);
-  // The next insert pushes the oversized entry out again.
-  cache.Put("after", MakeAnswer("s"));
-  EXPECT_FALSE(cache.Contains("huge"));
-  EXPECT_TRUE(cache.Contains("after"));
-  EXPECT_LE(cache.TotalBytes(), cache.byte_budget());
-}
-
-TEST(ShardedSummaryCacheTest, ReplacingAValueRetracksItsBytes) {
-  ShardedSummaryCache cache(/*capacity=*/8, /*num_shards=*/1, {},
-                            /*byte_budget=*/1 << 20);
-  cache.Put("k", MakeAnswer(std::string(1000, 'x')));
-  size_t big = cache.TotalBytes();
-  cache.Put("k", MakeAnswer("tiny"));
-  EXPECT_LT(cache.TotalBytes(), big);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ShardedSummaryCacheTest, ZeroByteBudgetMeansUnlimited) {
-  ShardedSummaryCache cache(/*capacity=*/64, /*num_shards=*/1);
-  EXPECT_EQ(cache.byte_budget(), 0u);
-  for (int i = 0; i < 32; ++i) {
-    cache.Put(std::to_string(i), MakeAnswer(std::string(4096, 'x')));
-  }
-  EXPECT_EQ(cache.size(), 32u);
-  EXPECT_EQ(cache.TotalStats().byte_evictions, 0u);
-  EXPECT_GT(cache.TotalBytes(), 32u * 4096u);
-}
-
-TEST(ShardedSummaryCacheTest, AdmissionControlRejectsOversizedEntries) {
-  ServedAnswerPtr small = MakeAnswer("s");
-  size_t small_bytes = ShardedSummaryCache::EstimateEntryBytes("a", small);
-  // Budget of ~8 small entries; admission caps any single entry at half the
-  // shard's slice.
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/1, {},
-                            /*byte_budget=*/8 * small_bytes,
-                            /*max_entry_fraction=*/0.5);
-  cache.Put("a", MakeAnswer("s"));
-  cache.Put("b", MakeAnswer("s"));
-  EXPECT_EQ(cache.size(), 2u);
-
-  // Without admission control this oversized answer would be admitted and
-  // immediately evict the whole working set (see
-  // OversizedEntryDisplacesEverythingButSurvives); with it, the Put is
-  // refused, nothing is evicted, and no byte_evictions fire.
-  EXPECT_FALSE(cache.Put("huge", MakeAnswer(std::string(64 * small_bytes, 'h'))));
-  EXPECT_FALSE(cache.Contains("huge"));
-  EXPECT_TRUE(cache.Contains("a"));
-  EXPECT_TRUE(cache.Contains("b"));
-  CacheStats stats = cache.TotalStats();
-  EXPECT_EQ(stats.admission_rejects, 1u);
-  EXPECT_EQ(stats.byte_evictions, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-
-  // A rejected replace leaves the existing entry untouched.
-  ASSERT_TRUE(cache.Put("a", MakeAnswer("fits")));
-  EXPECT_FALSE(cache.Put("a", MakeAnswer(std::string(64 * small_bytes, 'h'))));
-  ASSERT_NE(cache.Get("a"), nullptr);
-  EXPECT_EQ(cache.Get("a")->text, "fits");
-
-  // Entries under the ceiling are admitted as before.
-  EXPECT_TRUE(cache.Put("c", MakeAnswer("s")));
-  EXPECT_EQ(cache.TotalStats().admission_rejects, 2u);
-}
-
-TEST(ShardedSummaryCacheTest, AdmissionControlOffByDefault) {
-  ServedAnswerPtr small = MakeAnswer("s");
-  size_t small_bytes = ShardedSummaryCache::EstimateEntryBytes("a", small);
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/1, {},
-                            /*byte_budget=*/4 * small_bytes);
-  // fraction 0 = admit everything: the pre-admission behavior.
-  EXPECT_TRUE(cache.Put("huge", MakeAnswer(std::string(64 * small_bytes, 'h'))));
-  EXPECT_TRUE(cache.Contains("huge"));
-  EXPECT_EQ(cache.TotalStats().admission_rejects, 0u);
-}
-
-TEST(ShardedSummaryCacheTest, OwnerQuotaEvictsOnlyThatOwnersEntries) {
-  ServedAnswerPtr sample = MakeAnswer(std::string(50, 's'));
-  // "owner_a" and "owner_b" are the same length, so one estimate (owner
-  // tag included) covers entries of both.
-  size_t entry_bytes =
-      ShardedSummaryCache::EstimateEntryBytes("a0", sample, "owner_a");
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/1);
-  size_t quota = 3 * entry_bytes + entry_bytes / 2;  // ~3 entries for "a"
-
-  // Interleave two owners; only "a" carries a quota.
-  for (int i = 0; i < 6; ++i) {
-    cache.Put("a" + std::to_string(i), MakeAnswer(std::string(50, 's')), 0.0,
-              "owner_a", quota);
-    cache.Put("b" + std::to_string(i), MakeAnswer(std::string(50, 's')), 0.0,
-              "owner_b", 0);
-  }
-  // Owner a was trimmed to its quota; owner b kept everything.
-  EXPECT_LE(cache.OwnerBytes("owner_a"), quota);
-  EXPECT_EQ(cache.OwnerBytes("owner_b"), 6 * entry_bytes);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_TRUE(cache.Contains("b" + std::to_string(i))) << i;
-  }
-  // The survivors of "a" are its most recent entries.
-  EXPECT_TRUE(cache.Contains("a5"));
-  EXPECT_FALSE(cache.Contains("a0"));
-  CacheStats stats = cache.TotalStats();
-  EXPECT_EQ(stats.quota_evictions, 3u);
-  EXPECT_EQ(stats.evictions, 3u);
-  EXPECT_EQ(stats.byte_evictions, 0u);
-}
-
-TEST(ShardedSummaryCacheTest, OwnerQuotaIsGlobalAcrossShards) {
-  // Keys hash across 8 shards, so per-shard accounting would see only a
-  // fraction of the owner's footprint in any one shard and never trim; the
-  // quota must bound the owner's SUMMED bytes across all shards.
-  ServedAnswerPtr sample = MakeAnswer(std::string(50, 's'));
-  size_t entry_bytes =
-      ShardedSummaryCache::EstimateEntryBytes("a00", sample, "owner_a");
-  ShardedSummaryCache cache(/*capacity=*/1000, /*num_shards=*/8);
-  size_t quota = 2 * entry_bytes + entry_bytes / 2;  // ~2.5 entries
-
-  for (int i = 0; i < 16; ++i) {
-    char key[8];
-    std::snprintf(key, sizeof(key), "a%02d", i);
-    ASSERT_TRUE(cache.Put(key, MakeAnswer(std::string(50, 's')), 0.0,
-                          "owner_a", quota));
-    ASSERT_TRUE(cache.Put("b" + std::to_string(i),
-                          MakeAnswer(std::string(50, 's')), 0.0, "owner_b", 0));
-  }
-  EXPECT_LE(cache.OwnerBytes("owner_a"), quota);
-  // The entry whose Put triggered enforcement is protected, never evicted
-  // to make room for itself.
-  EXPECT_TRUE(cache.Contains("a15"));
-  // The unlimited owner was untouched even where its entries share shards
-  // with the trimmed one.
-  size_t expected_b = 0;
-  for (int i = 0; i < 16; ++i) {
-    expected_b += ShardedSummaryCache::EstimateEntryBytes(
-        "b" + std::to_string(i), sample, "owner_b");
-  }
-  EXPECT_EQ(cache.OwnerBytes("owner_b"), expected_b);
-  EXPECT_GE(cache.TotalStats().quota_evictions, 13u);
-}
-
 TEST(ShardedSummaryCacheTest, PurgePrefixDropsExactlyThatPrefix) {
   ShardedSummaryCache cache(/*capacity=*/64, /*num_shards=*/4);
   for (int i = 0; i < 8; ++i) {
@@ -366,10 +193,45 @@ TEST(ShardedSummaryCacheTest, PurgePrefixDropsExactlyThatPrefix) {
   EXPECT_EQ(cache.CountPrefix("right|"), 8u);
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.PurgePrefix("left|"), 0u);  // idempotent
-  // Byte accounting followed the purge.
-  size_t bytes_after = cache.TotalBytes();
-  cache.Put("right|k0", MakeAnswer("r"));  // replace, no growth
-  EXPECT_EQ(cache.TotalBytes(), bytes_after);
+}
+
+TEST(ShardedSummaryCacheTest, GetStaleServesExpiredAnswersButNeverApologies) {
+  double now = 0.0;
+  ShardedSummaryCache cache(/*capacity=*/8, /*num_shards=*/1,
+                            [&now] { return now; });
+  cache.Put("answer", MakeAnswer("speech"), /*ttl_seconds=*/5.0);
+  cache.Put("expired_apology", MakeApology("no summary"), /*ttl_seconds=*/5.0);
+  cache.Put("fresh_apology", MakeApology("no summary"), /*ttl_seconds=*/60.0);
+
+  bool was_stale = true;
+  ASSERT_NE(cache.GetStale("answer", &was_stale), nullptr);
+  EXPECT_FALSE(was_stale);
+
+  now = 6.0;  // past the 5 s TTLs
+  // An expired answer is served anyway, marked stale, and left in place.
+  ServedAnswerPtr stale = cache.GetStale("answer", &was_stale);
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(stale->text, "speech");
+  EXPECT_TRUE(was_stale);
+  // The overload path refuses cached apologies, so GetStale reports them as
+  // misses, expired or fresh, never as hits or stale serves.
+  was_stale = true;
+  EXPECT_EQ(cache.GetStale("expired_apology", &was_stale), nullptr);
+  EXPECT_FALSE(was_stale);
+  was_stale = true;
+  EXPECT_EQ(cache.GetStale("fresh_apology", &was_stale), nullptr);
+  EXPECT_FALSE(was_stale);
+
+  CacheStats stats = cache.TotalStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.stale_serves, 1u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.expirations, 0u);
+  EXPECT_EQ(cache.size(), 3u);
+  // The regular lookup still serves the fresh apology (negative caching).
+  ServedAnswerPtr apology = cache.Get("fresh_apology");
+  ASSERT_NE(apology, nullptr);
+  EXPECT_FALSE(apology->answered);
 }
 
 TEST(ShardedSummaryCacheTest, PutRefreshesTtl) {

@@ -3,8 +3,8 @@
 // lazy host-set sync), removal guarantees (no routes to a removed dataset
 // after RemoveDataset returns, cache purge by fingerprint, generation-keyed
 // isolation across re-adds) and the per-dataset serving policies
-// (HostOverrides per entry, merged over the fleet default: TTLs, cache byte
-// quotas, on-demand thread shares).
+// (HostOverrides per entry, merged over the fleet default: TTLs, admission
+// limits, on-demand thread shares).
 // The concurrency hammer at the end runs under the serve-tsan preset.
 #include <gtest/gtest.h>
 
@@ -249,11 +249,19 @@ TEST(DynamicRegistryTest, LearnedFileNeverLeaksAcrossDataChanges) {
 }
 
 TEST(DynamicRegistryTest, PerDatasetPoliciesOverrideTheFleetDefault) {
+  // Every HostOverrides field set to a value distinct from the fleet
+  // default, so a field ApplyTo forgets to copy fails here.
   DatasetRegistry registry;
   HostOverrides strict;
+  strict.on_demand_summaries = false;
   strict.unanswerable_ttl_seconds = 5.0;
+  strict.answer_ttl_seconds = 30.0;
+  strict.record_learned = true;
   strict.max_concurrent_solves = 1;
-  strict.cache_byte_quota = 1 << 12;
+  strict.max_pending_requests = 7;
+  strict.simulated_vocalize_seconds = 0.125;
+  strict.trace_samples_per_second = 9;
+  strict.slow_trace_seconds = 1.5;
   ASSERT_TRUE(registry
                   .AddGenerated("re", RunningExampleConfig(), 16, kSeed, {},
                                 strict)
@@ -264,56 +272,52 @@ TEST(DynamicRegistryTest, PerDatasetPoliciesOverrideTheFleetDefault) {
   RoutingService router(&registry);
   ASSERT_NE(router.host("re"), nullptr);
   ASSERT_NE(router.host("flights"), nullptr);
-  // The policy's explicit fields override the fleet default for "re" only.
-  EXPECT_DOUBLE_EQ(router.host("re")->options().unanswerable_ttl_seconds, 5.0);
-  EXPECT_EQ(router.host("re")->options().max_concurrent_solves, 1u);
-  EXPECT_EQ(router.host("re")->options().cache_byte_quota, size_t{1} << 12);
-  EXPECT_DOUBLE_EQ(router.host("flights")->options().unanswerable_ttl_seconds,
-                   60.0);
-  EXPECT_EQ(router.host("flights")->options().cache_byte_quota, 0u);
-  // Merge semantics: every field the policy left unset keeps the FLEET
-  // value -- "re" still solves misses on demand and keeps the fleet's
-  // trace sampling even though its policy never mentioned either.
-  EXPECT_EQ(router.host("re")->options().on_demand_summaries,
-            RouterOptions{}.host.on_demand_summaries);
-  EXPECT_EQ(router.host("re")->options().trace_samples_per_second,
-            RouterOptions{}.host.trace_samples_per_second);
+  const HostOptions& re = router.host("re")->options();
+  EXPECT_FALSE(re.on_demand_summaries);
+  EXPECT_DOUBLE_EQ(re.unanswerable_ttl_seconds, 5.0);
+  EXPECT_DOUBLE_EQ(re.answer_ttl_seconds, 30.0);
+  EXPECT_TRUE(re.record_learned);
+  EXPECT_EQ(re.max_concurrent_solves, 1u);
+  EXPECT_EQ(re.max_pending_requests, 7u);
+  EXPECT_DOUBLE_EQ(re.simulated_vocalize_seconds, 0.125);
+  EXPECT_EQ(re.trace_samples_per_second, 9u);
+  EXPECT_DOUBLE_EQ(re.slow_trace_seconds, 1.5);
+
+  // The dataset without a policy keeps every fleet value.
+  const HostOptions fleet = RouterOptions{}.host;
+  const HostOptions& flights = router.host("flights")->options();
+  EXPECT_EQ(flights.on_demand_summaries, fleet.on_demand_summaries);
+  EXPECT_DOUBLE_EQ(flights.unanswerable_ttl_seconds, 60.0);
+  EXPECT_DOUBLE_EQ(flights.answer_ttl_seconds, fleet.answer_ttl_seconds);
+  EXPECT_EQ(flights.record_learned, fleet.record_learned);
+  EXPECT_EQ(flights.max_concurrent_solves, fleet.max_concurrent_solves);
+  EXPECT_EQ(flights.max_pending_requests, fleet.max_pending_requests);
+  EXPECT_DOUBLE_EQ(flights.simulated_vocalize_seconds,
+                   fleet.simulated_vocalize_seconds);
+  EXPECT_EQ(flights.trace_samples_per_second, fleet.trace_samples_per_second);
+  EXPECT_DOUBLE_EQ(flights.slow_trace_seconds, fleet.slow_trace_seconds);
 }
 
-TEST(DynamicRegistryTest, CacheByteQuotaBoundsOneDatasetsOccupancy) {
+TEST(DynamicRegistryTest, PolicyFieldsLeftUnsetKeepTheFleetValue) {
+  // Merge semantics: a policy that mentions one knob inherits every other
+  // one from the fleet default rather than the struct defaults.
   DatasetRegistry registry;
-  // A quota holding a handful of rendered answers; a single cache shard
-  // makes the accounting deterministic.
-  HostOverrides quota_policy;
-  quota_policy.cache_byte_quota = 2048;
+  HostOverrides share;
+  share.max_concurrent_solves = 1;
   ASSERT_TRUE(registry
                   .AddGenerated("re", RunningExampleConfig(), 16, kSeed, {},
-                                quota_policy)
+                                share)
                   .ok());
   RouterOptions options;
-  options.cache_shards = 1;
+  options.host.on_demand_summaries = false;
+  options.host.trace_samples_per_second = 5;
   RoutingService router(&registry, options);
-
-  const std::vector<std::string> regions = {"North", "South", "East", "West"};
-  const std::vector<std::string> seasons = {"Winter", "Summer", "Fall",
-                                            "Spring"};
-  std::vector<std::string> requests;
-  for (const auto& region : regions) requests.push_back("delay in the " + region);
-  for (const auto& season : seasons) requests.push_back("delay in " + season);
-  for (const auto& region : regions) {
-    for (const auto& season : seasons) {
-      requests.push_back("delay " + region + " " + season);
-    }
-  }
-  for (const auto& request : requests) {
-    EXPECT_TRUE(router.AnswerNow(request).response.answered) << request;
-  }
-  std::string fingerprint = router.host("re")->fingerprint();
-  // The dataset's tagged bytes stayed within its quota, enforced by
-  // evicting its own LRU entries.
-  EXPECT_LE(router.cache().OwnerBytes(fingerprint), 2048u);
-  EXPECT_LT(router.cache().CountPrefix(fingerprint + "|"), requests.size());
-  EXPECT_GT(router.cache().TotalStats().quota_evictions, 0u);
+  ASSERT_NE(router.host("re"), nullptr);
+  const HostOptions& re = router.host("re")->options();
+  EXPECT_EQ(re.max_concurrent_solves, 1u);
+  EXPECT_FALSE(re.on_demand_summaries);
+  EXPECT_EQ(re.trace_samples_per_second, 5u);
+  EXPECT_DOUBLE_EQ(re.unanswerable_ttl_seconds, 60.0);
 }
 
 TEST(DynamicRegistryTest, ThreadShareCapsConcurrentSolves) {
